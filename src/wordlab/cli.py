@@ -24,7 +24,6 @@ from .growth_functions import (
     build_superlinear_witness,
     check_growth_properties,
     discrete_derivative,
-    verify_witness,
 )
 from .words_core import max_bytes_budget
 
@@ -140,8 +139,11 @@ def _growth_table(args):
 
 def run_growth(args):
     g = _growth_table(args)
+    try:
+        w = build_superlinear_witness(g)       # runs verify_witness
+    except AssertionError as e:
+        raise VerificationFailure({"failed_assertion": str(e)})
     if args.command == "build":
-        w = build_superlinear_witness(g)
         deriv, flag = discrete_derivative(w.f)
         rows = [(n, w.f.values[n], deriv.values[n], w.omega[n])
                 for n in range(1, w.f.n_max + 1)]
@@ -158,8 +160,7 @@ def run_growth(args):
                     columns=["n", "f", "f_prime", "omega"])
         return True
     # check
-    w = build_superlinear_witness(g)
-    checks = verify_witness(w)
+    checks = w.checks
     props = check_growth_properties(w.f)
     del props["doubling_ratios"]          # diagnostic bulk, not a check
     # the construction promises monotonicity, the doubling square bound and
@@ -487,7 +488,6 @@ def build_parser():
     common.add_argument("--format", choices=("csv", "json"), default="json")
     common.add_argument("--output", default=None, help="file path; default stdout")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--max-bytes", type=int, default=None,
                         help="resource budget; env WORDLAB_MAX_BYTES honored")
     common.add_argument("--config", default=None,
@@ -573,7 +573,7 @@ _RUNNERS = {
 }
 
 
-_INT_KEYS = {"seed", "workers", "max_bytes", "trials", "l", "N", "k_max",
+_INT_KEYS = {"seed", "max_bytes", "trials", "l", "N", "k_max",
              "levels", "p_max", "r", "max_level", "n_max", "random"}
 _STR_KEYS = {"format", "output", "g", "f", "policy", "gamma", "n", "u",
              "word", "proj", "epsilon", "n_list", "rec_samples"}
@@ -608,8 +608,6 @@ def parse_and_dispatch(argv):
             args.max_bytes = max_bytes_budget()
         if args.max_bytes is not None and args.max_bytes < MIN_MAX_BYTES:
             raise UsageError("max_bytes must be >= %d" % MIN_MAX_BYTES)
-        if args.workers < 1:
-            raise UsageError("workers must be >= 1")
         _RUNNERS[args.family](args)
         return 0
     except VerificationFailure as e:

@@ -223,35 +223,47 @@ def build_superlinear_witness(g):
 
 
 def verify_witness(w):
-    """All displayed invariants of the construction, checked on the range."""
+    """All displayed invariants of the construction, checked on the range.
+
+    A failed invariant raises AssertionError explicitly, so the checks hold
+    under python -O too."""
     N = w.f.n_max
     v = w.f.values
     ds = sorted(w.d.items())
     for (i, di), (j, dj) in zip(ds, ds[1:]):
-        assert j == i + 1 and dj > 4 * di, "d-sequence must grow by factors > 4"
+        if not (j == i + 1 and dj > 4 * di):
+            raise AssertionError("d-sequence must grow by factors > 4 (d_%d=%d, d_%d=%d)"
+                                 % (i, di, j, dj))
     for i, di in ds:
-        assert di > 1 and di & (di - 1) == 0, "each d_i must be a power of 2 > 1"
-    assert v[1] == 2
+        if not (di > 1 and di & (di - 1) == 0):
+            raise AssertionError("each d_i must be a power of 2 > 1 (d_%d=%d)" % (i, di))
+    if v[1] != 2:
+        raise AssertionError("f(1) = %d, expected 2" % v[1])
     two_d = {2 * di: i for i, di in w.d.items()}
     for n in range(2, N + 1):
         if n in two_d:
-            assert v[n] == two_d[n] * v[n // 2]
-        else:
-            assert v[n] == v[n - 1] + 1
+            if v[n] != two_d[n] * v[n // 2]:
+                raise AssertionError("f(2 d_i) != i f(d_i) at n=%d" % n)
+        elif v[n] != v[n - 1] + 1:
+            raise AssertionError("f(n) != f(n-1) + 1 at n=%d" % n)
     # strict monotonicity: at n = 2 d_i this is f'(2d_i) = (i-1) f(d_i) - (d_i - 1) >= 1
     for n in range(1, N):
-        assert v[n] < v[n + 1], "f must be strictly increasing (fails at n=%d)" % n
+        if not v[n] < v[n + 1]:
+            raise AssertionError("f must be strictly increasing (fails at n=%d)" % n)
     # f(2n) <= f(n)^2
     for n in range(1, N // 2 + 1):
-        assert v[2 * n] <= v[n] * v[n], "f(2n) <= f(n)^2 fails at n=%d" % n
+        if not v[2 * n] <= v[n] * v[n]:
+            raise AssertionError("f(2n) <= f(n)^2 fails at n=%d" % n)
     # telescoping bound f(n) <= 2(n+1) omega(n)!
     for n in range(1, N + 1):
-        assert v[n] <= 2 * (n + 1) * math.factorial(w.omega[n]), \
-            "telescoping bound fails at n=%d" % n
+        if not v[n] <= 2 * (n + 1) * math.factorial(w.omega[n]):
+            raise AssertionError("telescoping bound fails at n=%d" % n)
     # factorial constraint beyond n0, hence f(n) < g(n) there
     for n in range(w.n0, N + 1):
-        assert math.factorial(w.omega[n]) * 2 * (n + 1) < w.g.values[n]
-        assert v[n] < w.g.values[n]
+        if not math.factorial(w.omega[n]) * 2 * (n + 1) < w.g.values[n]:
+            raise AssertionError("factorial constraint fails at n=%d" % n)
+        if not v[n] < w.g.values[n]:
+            raise AssertionError("f(n) < g(n) fails at n=%d" % n)
     w.checks = {
         "d_sequence": dict(ds),
         "n0": w.n0,

@@ -11,6 +11,9 @@
 #   * every factor of length 7 N_k contains both alpha_k beta_k and
 #     beta_k alpha_k, giving Rec_w(Ntilde_k) <= 7 N_k
 #   * alpha_k beta_k and beta_k alpha_k have no period d <= Ntilde_k
+#   * alpha_k and beta_k have period 3 N_{k-1}, so every length-n factor of
+#     the two masters already lies in their junction windows
+#     alpha_k[-r:] beta_k[:r] and beta_k[-r:] alpha_k[:r], r = 3 N_{k-1} + n - 1
 #
 # The exponent gamma >= 1 drives n_{j+1} = max{2, ceil(N_j^{gamma-1}/3)}.
 
@@ -39,13 +42,16 @@ def integer_root(x, q):
         raise ValueError("bad root arguments")
     if x in (0, 1) or q == 1:
         return x
-    r = int(round(x ** (1.0 / q)))
-    r = max(r, 1)
-    while r**q > x:
-        r -= 1
-    while (r + 1) ** q <= x:
-        r += 1
-    return r
+    if q == 2:
+        return math.isqrt(x)
+    # integer Newton from above: 2^ceil(bits/q) > x^(1/q), and each step
+    # stays >= floor(x^(1/q)) (AM-GM) until the iterate stops decreasing
+    r = 1 << -(-x.bit_length() // q)
+    while True:
+        s = ((q - 1) * r + x // r ** (q - 1)) // q
+        if s >= r:
+            return r
+        r = s
 
 
 def ceil_rational_power_over_3(N, expo):
@@ -144,6 +150,22 @@ class SubstLevels:
     def BA(self, k):
         return self.beta[k] + self.alpha[k]
 
+    def junction(self, k, n):
+        """alpha_k[-r:] beta_k[:r] and beta_k[-r:] alpha_k[:r] with
+        r = min(3 N_{k-1} + n - 1, N_k): same length-n factors as AB_k, BA_k.
+
+        alpha_k = (alpha_{k-1}^2 beta_{k-1})^{n_k} has period P = 3 N_{k-1},
+        and so has beta_k.  A length-n window inside alpha_k recurs P places
+        further on, so it also starts at one of the last P starts of alpha_k,
+        all inside alpha_k[-r:]; a window inside beta_k likewise lies in
+        beta_k[:r]; a window across the junction lies in
+        alpha_k[-(n-1):] beta_k[:n-1].  The same holds for BA_k, and each
+        junction window is itself a factor of its master.
+        """
+        r = min(3 * self.N[k - 1] + n - 1, self.N[k])
+        a, b = self.alpha[k], self.beta[k]
+        return a[-r:] + b[:r], b[-r:] + a[:r]
+
     def min_level_for(self, n):
         """Minimal k with n <= Ntilde_k; factors that long live in AB_k/BA_k."""
         for k in range(1, self.K + 1):
@@ -156,11 +178,12 @@ class SubstLevels:
         """Is u a factor of w?"""
         if u == "":
             return True
-        k = self.min_level_for(len(u))
-        return u in self.AB(k) or u in self.BA(k)
+        ab, ba = self.junction(self.min_level_for(len(u)), len(u))
+        return u in ab or u in ba
 
     def census(self, k, need=None):
-        """Window census of AB_k | BA_k (memoized, cap grown on demand)."""
+        """Window census of the level-k junction windows joined by "|"
+        (memoized, cap grown on demand)."""
         need = self.Nt[k] if need is None else min(need, self.Nt[k])
         cached = self._census.get(k)
         if cached is None or cached.cap < need:
@@ -168,7 +191,7 @@ class SubstLevels:
             if 2 * self.N[k] > 100_000:
                 # large level: keep the sort depth close to what is asked for
                 cap = min(cap, max(4096, 1 << (need - 1).bit_length()))
-            host = self.AB(k) + "|" + self.BA(k)
+            host = "|".join(self.junction(k, cap))
             cached = WindowCensus(host, cap, separators="|")
             self._census[k] = cached
         return cached
@@ -204,9 +227,8 @@ def build_substitution_levels(params, K=None):
 
 
 def subst_factor_set(levels, n):
-    """Exact L_w(n) from the minimal sufficient master words."""
-    k = levels.min_level_for(n)
-    return factor_set([levels.AB(k), levels.BA(k)], n)
+    """Exact L_w(n) from the junction windows of the minimal sufficient level."""
+    return factor_set(list(levels.junction(levels.min_level_for(n), n)), n)
 
 
 def densities(levels, k):

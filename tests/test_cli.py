@@ -185,3 +185,28 @@ def test_failure_serializes_witness(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(err)
     assert doc["witness"]["reason"].startswith("synthetic")
+
+
+# sha256 of stdout recorded before substitution-language queries moved to
+# the junction windows; any change to these report bytes is a regression
+PINNED_STDOUT = [
+    (("algebra", "decompose-identity", "--l", "1"),
+     "d0c1d7cbc3532c0056e39fb9f3634e543a061ba2f918aa0204c6a47924f8f4ac"),
+    (("subst", "--gamma", "2", "complexity", "--n", "1..1188", "--format", "csv"),
+     "74f80d9b7ac1329f75249f063c3ca519f7b744da6dd0a8e4d1a4670f272fbc71"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=["decompose-identity-l1", "complexity-1188"])
+def test_pinned_stdout_bytes(capsys, argv, digest):
+    import hashlib
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_workers_flag_removed(capsys):
+    code, _, _ = run(capsys, "subst", "--gamma", "2", "densities",
+                     "--workers", "2")
+    assert code == 2

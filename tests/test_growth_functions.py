@@ -1,6 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import wordlab
 
 from wordlab.growth_functions import (
     GrowthTable,
@@ -119,3 +125,47 @@ def test_table_validation():
     assert t(3) == 9
     with pytest.raises(ValueError):
         t(11)
+
+
+# builds a real witness, corrupts one f value, and runs the growth check
+# through the CLI; the parent test runs this under python -O
+_CORRUPTED_CHECK = """
+import sys
+from wordlab import cli, growth_functions as gf
+
+assert sys.flags.optimize
+real = gf.build_superlinear_witness
+
+def corrupted(g):
+    w = real(g)
+    w.f.values[100] += 1
+    try:
+        gf.verify_witness(w)
+    except AssertionError as e:
+        print("direct:", e)
+    return gf.verify_witness(w)
+
+cli.build_superlinear_witness = corrupted
+sys.exit(cli.parse_and_dispatch(["growth", "--n-max", "1000", "check"]))
+"""
+
+
+def test_verify_witness_fails_under_python_O():
+    env = dict(os.environ)
+    env.pop("PYTHONOPTIMIZE", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(wordlab.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_CHECK],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "direct: f(n) != f(n-1) + 1 at n=100\n"
+    doc = json.loads(proc.stderr)
+    assert doc["witness"] == {"failed_assertion": "f(n) != f(n-1) + 1 at n=100"}
+
+
+def test_verify_witness_names_failing_n(witness):
+    from dataclasses import replace
+    vals = list(witness.f.values)
+    vals[777] += 1
+    bad = replace(witness, f=GrowthTable(vals, witness.f.n_max))
+    with pytest.raises(AssertionError, match="n=777"):
+        verify_witness(bad)

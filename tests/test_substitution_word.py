@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,12 @@ from wordlab.substitution_word import (
     subst_factor_set,
     verify_substitution_lemmas,
 )
-from wordlab.words_core import count_occurrences, min_period, sliding_containment_scan
+from wordlab.words_core import (
+    count_occurrences,
+    factor_set,
+    min_period,
+    sliding_containment_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +33,19 @@ def test_integer_root():
     assert integer_root(26, 3) == 2
     assert integer_root(10**12, 2) == 10**6
     assert integer_root(0, 5) == 0
+    for q in range(1, 7):
+        r = 0
+        for x in range(3000):
+            while (r + 1) ** q <= x:
+                r += 1
+            assert integer_root(x, q) == r, (x, q)
+    assert integer_root(10**400, 2) == 10**200
+    assert integer_root(10**400 - 1, 2) == 10**200 - 1
+    for q in (3, 7, 400):
+        r = integer_root(10**400, q)
+        assert r**q <= 10**400 < (r + 1) ** q
+    assert integer_root(10**399, 3) == 10**133
+    assert ceil_rational_power_over_3(10**200, 1) == -(-10**200 // 3)
 
 
 def test_ceil_rational_power():
@@ -204,3 +223,80 @@ def test_params_validation():
         SubstParams(gamma=Fraction(1, 2))
     with pytest.raises(ValueError):
         SubstParams(n_list=[2, 1])
+
+
+def _master_contains(levels, u):
+    k = levels.min_level_for(len(u))
+    return u in levels.AB(k) or u in levels.BA(k)
+
+
+def _contains_probes(levels, k, rng):
+    """Seeded factors whose minimal level is k, their one-letter mutations,
+    and strings with a separator or a foreign letter."""
+    lo = levels.Nt[k - 1] + 1 if k > 1 else 1
+    hosts = (levels.AB(k), levels.BA(k))
+    out = []
+    for _ in range(12):
+        n = rng.randint(lo, levels.Nt[k])
+        host = hosts[rng.randrange(2)]
+        i = rng.randrange(len(host) - n + 1)
+        u = host[i:i + n]
+        j = rng.randrange(n)
+        flip = "b" if u[j] == "a" else "a"
+        out += [u, u[:j] + flip + u[j + 1:], u[:j] + "|" + u[j + 1:],
+                u[:j] + "c" + u[j + 1:]]
+    # a junction-straddling factor of AB_k read with a separator in it
+    N = levels.N[k]
+    out.append(levels.AB(k)[N - 1:N] + "|" + levels.AB(k)[N:N + 1])
+    return out
+
+
+@pytest.mark.parametrize("params", [SubstParams(gamma=2),
+                                    SubstParams(n_list=[2, 3, 2, 2])],
+                         ids=["gamma2", "nlist2322"])
+def test_contains_agrees_with_masters(params):
+    levels = build_substitution_levels(params)
+    rng = random.Random(7)
+    assert levels.K == 4
+    for k in range(1, levels.K + 1):
+        for u in _contains_probes(levels, k, rng):
+            assert levels.contains(u) == _master_contains(levels, u), (k, u[:40])
+    assert levels.contains("")
+
+
+@pytest.mark.parametrize("params,levels_checked", [
+    (SubstParams(gamma=2), (1, 2)),
+    (SubstParams(n_list=[2, 3, 2, 2]), (1, 2, 3)),
+], ids=["gamma2", "nlist2322"])
+def test_junction_factor_sets_agree_with_masters(params, levels_checked):
+    levels = build_substitution_levels(params)
+    for k in levels_checked:
+        census = levels.census(k)
+        for n in range(1, levels.Nt[k] + 1):
+            want = factor_set([levels.AB(k), levels.BA(k)], n, mode="exact")
+            assert census.count(n) == want.count, (k, n)
+            if levels.min_level_for(n) == k:
+                assert subst_factor_set(levels, n).members == want.members, (k, n)
+
+
+def test_junction_level3_samples(lv):
+    census = lv.census(3)
+    for n in (1, 5, 19, 100, 500, 1000, lv.Nt[3]):
+        want = factor_set([lv.AB(3), lv.BA(3)], n, mode="exact")
+        assert census.count(n) == want.count
+        if n > lv.Nt[2]:
+            assert subst_factor_set(lv, n).members == want.members
+
+
+def test_junction_window_shape(lv):
+    for k in range(1, lv.K + 1):
+        for n in (1, lv.Nt[k]):
+            r = min(3 * lv.N[k - 1] + n - 1, lv.N[k])
+            ab, ba = lv.junction(k, n)
+            assert len(ab) == len(ba) == 2 * r
+            N = lv.N[k]
+            assert ab == lv.AB(k)[N - r:N + r] and ba == lv.BA(k)[N - r:N + r]
+
+
+def test_complexity_at_4096(lv):
+    assert lv.complexity(4096) == 15966
