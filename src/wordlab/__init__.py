@@ -3,8 +3,6 @@
 
 from .words_core import (
     Alphabet,
-    FactorSet,
-    Fingerprinter,
     WindowCensus,
     count_occurrences,
     distinct_factor_count,
@@ -16,8 +14,6 @@ from .words_core import (
 
 __all__ = [
     "Alphabet",
-    "FactorSet",
-    "Fingerprinter",
     "WindowCensus",
     "count_occurrences",
     "distinct_factor_count",

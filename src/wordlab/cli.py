@@ -216,9 +216,11 @@ def run_xk(args):
             raise VerificationFailure(rep)
         return True
     # verify-spike
-    rep = verify_derivative_spike(oracle, l=args.l,
-                                  epsilon=Fraction(args.epsilon),
-                                  audit_seed=args.seed)
+    try:
+        rep = verify_derivative_spike(oracle, l=args.l,
+                                      epsilon=Fraction(args.epsilon))
+    except AssertionError as e:
+        raise VerificationFailure({"failed_assertion": str(e)})
     emit_report(rep, args, passed=rep["pass"])
     if not rep["pass"]:
         raise VerificationFailure(rep)
@@ -328,7 +330,10 @@ def run_subst(args):
     if args.command == "recurrence":
         rows = []
         for n in [int(x) for x in args.n.split(",")]:
-            r = recurrence_function(levels, n)
+            try:
+                r = recurrence_function(levels, n)
+            except AssertionError as e:
+                raise VerificationFailure({"failed_assertion": str(e)})
             rows.append((n, r["rec"], r["upper_bound_7Nk"]))
         emit_report({"table": rows}, args, rows=rows,
                     columns=["n", "rec", "upper_7Nk"])

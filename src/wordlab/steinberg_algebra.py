@@ -483,7 +483,7 @@ def verify_unit_decomposition(lang, l):
     p = 0
     q = 2 * N - (2 * n + 1)
     w_lo = -n
-    words = sorted(subst_factor_set(levels, 7 * N).members)
+    words = sorted(subst_factor_set(levels, 7 * N))
     one = AlgebraElement(lang, {(0, 0, ""): 1})
     total = {}
     max_left = max_right = 0

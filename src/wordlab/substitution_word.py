@@ -21,12 +21,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .words_core import (
-    Fingerprinter,
     WindowCensus,
-    WindowHasher,
+    _pattern_window_stats,
     count_occurrences,
     factor_set,
     max_bytes_budget,
@@ -227,7 +224,8 @@ def build_substitution_levels(params, K=None):
 
 
 def subst_factor_set(levels, n):
-    """Exact L_w(n) from the junction windows of the minimal sufficient level."""
+    """Exact L_w(n), a frozenset, from the junction windows of the minimal
+    sufficient level."""
     return factor_set(list(levels.junction(levels.min_level_for(n), n)), n)
 
 
@@ -268,49 +266,15 @@ def beta_cubed_positions(levels, k):
     return out
 
 
-def _pattern_stats_find(host, patterns):
-    """pattern -> minimal uniform window length for host, via direct scans."""
-    res = sliding_containment_scan(host, len(host), sorted(patterns))
-    return res.min_window_lengths
-
-
-def _pattern_stats_hash(host, patterns, n):
-    """Same as _pattern_stats_find but via vectorized window fingerprints."""
-    wh = WindowHasher(host)
-    h1, h2 = wh.window_raw(n)
-    order = np.lexsort((h2, h1))       # stable: positions ascend within groups
-    s1, s2 = h1[order], h2[order]
-    newgrp = np.empty(len(order), dtype=bool)
-    newgrp[0] = True
-    newgrp[1:] = (np.diff(s1.view(np.int64)) != 0) | (np.diff(s2.view(np.int64)) != 0)
-    starts = np.flatnonzero(newgrp)
-    ends = np.append(starts[1:], len(order))
-    pos = order.astype(np.int64)
-    firsts = pos[starts]
-    lasts = pos[ends - 1]
-    gaps = np.zeros(len(pos), dtype=np.int64)
-    gaps[1:] = np.diff(pos)
-    gaps[starts] = 0
-    maxgap = np.maximum.reduceat(gaps, starts)
-    L = len(host)
-    table = {}
-    for i in range(len(starts)):
-        mk = max(int(firsts[i]) + n, n + int(maxgap[i]) - 1, L - int(lasts[i]))
-        table[(int(s1[starts[i]]), int(s2[starts[i]]))] = mk
-    fp = Fingerprinter()
-    out = {}
-    for p in patterns:
-        out[p] = table.get(fp.raw(p), L + 1)
-    return out
-
-
 def recurrence_function(levels, n, cross_check=None):
     """Exact Rec_w(n) with a failing-window certificate at Rec-1.
 
     Rec_w(n) is the least K such that every length-K factor of w contains
     every length-n factor.  Upper bound 7 N_k with k minimal such that
     n <= Ntilde_k; candidate lengths live inside the level-m master words
-    where 7 N_k <= Ntilde_m.
+    where 7 N_k <= Ntilde_m.  Each master's census blocks give the sorted
+    occurrences of every length-n factor, hence its first and last
+    occurrence and largest gap.  Failed checks raise AssertionError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -321,23 +285,22 @@ def recurrence_function(levels, n, cross_check=None):
     except ValueError:
         raise ValueError("depth: recurrence at n=%d needs a level m with "
                          "Ntilde_m >= %d" % (n, upper))
-    patterns = sorted(subst_factor_set(levels, n).members)
+    patterns = sorted(subst_factor_set(levels, n))
     hosts = [("AB", levels.AB(m)), ("BA", levels.BA(m))]
     rec = 0
-    rec_host = None
-    per_host = {}
     for name, host in hosts:
-        if len(patterns) * len(host) <= 2 * 10**8:
-            stats = _pattern_stats_find(host, patterns)
-        else:
-            stats = _pattern_stats_hash(host, patterns, n)
-        per_host[name] = stats
+        occ = {host[b[0]:b[0] + n]: b for b in WindowCensus(host, n).blocks(n)}
+        for p in patterns:
+            if p not in occ:
+                raise AssertionError("a length-%d factor is missing from %s_%d: %r"
+                                     % (n, name, m, p[:40]))
+        stats = {p: _pattern_window_stats(occ[p], n, len(host), len(host))[2]
+                 for p in patterns}
         worst = max(stats.values())
-        assert worst <= len(host), "a length-%d factor is missing from %s_%d" % (n, name, m)
         if worst > rec:
-            rec = worst
-            rec_host = (name, host)
-    assert rec <= upper, "Rec_w(%d)=%d exceeds the 7 N_k bound %d" % (n, rec, upper)
+            rec, rec_name, rec_host, rec_occ = worst, name, host, occ
+    if rec > upper:
+        raise AssertionError("Rec_w(%d)=%d exceeds the 7 N_k bound %d" % (n, rec, upper))
 
     # monotone binary search over the containment predicate, as a guard
     if cross_check is None:
@@ -351,18 +314,28 @@ def recurrence_function(levels, n, cross_check=None):
                 hi = mid
             else:
                 lo = mid + 1
-        assert lo == rec, "binary search %d disagrees with closed form %d" % (lo, rec)
+        if lo != rec:
+            raise AssertionError("binary search %d disagrees with closed form %d"
+                                 % (lo, rec))
 
     certificate = None
     if rec - 1 >= n:
-        res = sliding_containment_scan(rec_host[1], rec - 1, patterns)
-        assert not res.ok
+        # the first failing window, then the smallest pattern missing from it
+        failures = []
+        for p in patterns:
+            ok, fail, _ = _pattern_window_stats(rec_occ[p], n, len(rec_host), rec - 1)
+            if not ok:
+                failures.append((fail, p))
+        if not failures:
+            raise AssertionError("every length-%d window of %s_%d contains every "
+                                 "length-%d factor" % (rec - 1, rec_name, m, n))
+        fail, p = min(failures)
         certificate = {
-            "host": rec_host[0],
+            "host": rec_name,
             "host_level": m,
             "window_length": rec - 1,
-            "failing_window": res.failing_window,
-            "missing_pattern": res.missing_pattern,
+            "failing_window": fail,
+            "missing_pattern": p,
         }
     return {"n": n, "rec": rec, "level": k, "host_level": m,
             "upper_bound_7Nk": upper, "certificate": certificate}

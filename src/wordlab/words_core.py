@@ -6,16 +6,13 @@
 #   occurrences are counted with overlaps
 #   all frequencies are exact rationals (fractions.Fraction)
 #
-# Two enumeration backends live here:
-#   * exact sets of factor strings, for small hosts
-#   * a sorted-window census (suffix sorting, numpy) that returns exact
-#     distinct-window counts for every length n <= cap in one pass, and
-#   * 128-bit polynomial rolling fingerprints (two independent 61-bit
-#     hashes packed together) with a 1% exact-resample audit, for factor
-#     collections too large to keep as strings.
+# One exact counting backend lives here: a sorted-window census (suffix
+# sorting, numpy) that gives, for every length n <= cap, the number of
+# distinct windows and the ascending occurrence positions of each.  Exact
+# sets of factor strings serve small hosts; the byte budget is checked
+# before they are built.
 
 import os
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -124,244 +121,38 @@ def min_period(word, d_max=None):
 
 
 # ---------------------------------------------------------------------------
-# fingerprints
-#
-# h(w) = sum_t val(w[t]) * B^t  mod  M,  M = 2^61 - 1, val(c) = ord(c) + 1.
-# Two bases give two 61-bit values packed into a single int < 2^125.
-# Collisions are astronomically unlikely and additionally audited by exact
-# resampling of a 1% slice whenever fingerprints replace strings.
-
-_M = (1 << 61) - 1
-_B1 = 1_000_003
-_B2 = 998_244_353
-
-
-class Fingerprinter:
-    """Polynomial rolling fingerprints with O(1) concatenation."""
-
-    def __init__(self):
-        self._pow_cache = {0: (1, 1)}
-
-    def _pows(self, n):
-        cached = self._pow_cache.get(n)
-        if cached is None:
-            cached = (pow(_B1, n, _M), pow(_B2, n, _M))
-            self._pow_cache[n] = cached
-        return cached
-
-    def raw(self, word):
-        """(h1, h2) pair for word."""
-        h1 = h2 = 0
-        p1 = p2 = 1
-        for c in word:
-            v = ord(c) + 1
-            h1 = (h1 + v * p1) % _M
-            h2 = (h2 + v * p2) % _M
-            p1 = p1 * _B1 % _M
-            p2 = p2 * _B2 % _M
-        return h1, h2
-
-    def combine(self, left, left_len, right):
-        """raw pair of the concatenation, given raw pairs of the parts."""
-        q1, q2 = self._pows(left_len)
-        return ((left[0] + right[0] * q1) % _M, (left[1] + right[1] * q2) % _M)
-
-    def pack(self, pair):
-        return (pair[0] << 64) | pair[1]
-
-    def fingerprint(self, word):
-        """Packed 128-bit fingerprint of word."""
-        return self.pack(self.raw(word))
-
-
-# numpy bulk versions.  Arithmetic is done in uint64; products are reduced
-# mod M = 2^61 - 1 through 32-bit limb splitting (2^61 = 1 mod M, 2^64 = 8).
-
-def _mulmod_np(a, b):
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    mask32 = np.uint64(0xFFFFFFFF)
-    a0 = a & mask32
-    a1 = a >> np.uint64(32)
-    b0 = b & mask32
-    b1 = b >> np.uint64(32)
-    m = a1 * b0 + a0 * b1            # < 2^62, exact
-    lo = a0 * b0                     # < 2^64, exact
-    folded = (lo & np.uint64(_M)) + (lo >> np.uint64(61))
-    mh = m >> np.uint64(29)
-    ml = m & np.uint64((1 << 29) - 1)
-    s = a1 * b1 * np.uint64(8) + folded + mh + (ml << np.uint64(32))
-    return s % np.uint64(_M)
-
-
-def _power_array(base, length):
-    """[base^0, ..., base^(length-1)] mod M as uint64."""
-    out = np.ones(length, dtype=np.uint64)
-    if length <= 1:
-        return out
-    out[1] = np.uint64(base % _M)
-    filled = 2
-    while filled < length:
-        take = min(filled, length - filled)
-        out[filled:filled + take] = _mulmod_np(out[:take], out[filled - 1])
-        out[filled:filled + take] = _mulmod_np(out[filled:filled + take], out[1])
-        filled += take
-    return out
-
-
-def _prefix_poly(values, base):
-    """P with P[j] = sum_{t<j} values[t] * base^t mod M (length len+1)."""
-    n = len(values)
-    pw = _power_array(base, n)
-    c = _mulmod_np(np.asarray(values, dtype=np.uint64), pw)
-    shift = 1
-    m = np.uint64(_M)
-    while shift < n:
-        c[shift:] = (c[shift:] + c[:-shift]) % m
-        shift <<= 1
-    out = np.zeros(n + 1, dtype=np.uint64)
-    out[1:] = c
-    return out
-
-
-class WindowHasher:
-    """Per-position window fingerprints of one long host string."""
-
-    def __init__(self, host):
-        vals = np.frombuffer(host.encode("latin1"), dtype=np.uint8).astype(np.uint64) + np.uint64(1)
-        self.length = len(host)
-        self._p1 = _prefix_poly(vals, _B1)
-        self._p2 = _prefix_poly(vals, _B2)
-        n = self.length
-        inv1 = pow(_B1, _M - 2, _M)
-        inv2 = pow(_B2, _M - 2, _M)
-        self._inv1 = _power_array(inv1, n + 1)
-        self._inv2 = _power_array(inv2, n + 1)
-
-    def _windows_one(self, p, invpows, n, starts):
-        m = np.uint64(_M)
-        diff = (p[starts + n] + m - p[starts]) % m
-        return _mulmod_np(diff, invpows[starts])
-
-    def window_raw(self, n, starts=None):
-        """(h1, h2) uint64 arrays for all length-n windows (or given starts)."""
-        if starts is None:
-            starts = np.arange(self.length - n + 1, dtype=np.int64)
-        else:
-            starts = np.asarray(starts, dtype=np.int64)
-        h1 = self._windows_one(self._p1, self._inv1, n, starts)
-        h2 = self._windows_one(self._p2, self._inv2, n, starts)
-        return h1, h2
-
-    def window_packed(self, n, starts=None):
-        """Packed python-int fingerprints for length-n windows."""
-        h1, h2 = self.window_raw(n, starts)
-        return (h1.astype(object) << 64) | h2.astype(object)
-
-
-# ---------------------------------------------------------------------------
 # factor sets
 
-
-@dataclass
-class FactorSet:
-    """The set of length-n factors of a family of host words.
-
-    Either members (exact strings) or fingerprints (packed ints) is
-    populated, never both empty.  In fingerprint mode a 1% sample of
-    windows is re-extracted exactly and audited for collisions.
-    """
-
-    n: int
-    count: int
-    fingerprint_mode: bool
-    members: frozenset = None
-    fingerprints: frozenset = None
-    audit_sample_size: int = 0
-
-    def __contains__(self, word):
-        if len(word) != self.n:
-            return False
-        if not self.fingerprint_mode:
-            return word in self.members
-        return Fingerprinter().fingerprint(word) in self.fingerprints
-
-    def __len__(self):
-        return self.count
+# bytes a set member takes beyond its n characters: the 49-byte str header
+# and its share of the hash table (91-109 bytes measured on 64-bit CPython
+# 3.11 for n = 20..100)
+_SET_MEMBER_BYTES = 112
 
 
-def _iter_windows(hosts, n):
-    for host in hosts:
-        for i in range(len(host) - n + 1):
-            yield host[i:i + n]
+def factor_set(hosts, n, max_bytes=None):
+    """frozenset of the length-n factors of the given host words.
 
-
-def factor_set(hosts, n, mode="auto", max_bytes=None, audit_seed=0):
-    """FactorSet of the length-n factors of the given host words.
-
-    mode: "exact", "fingerprint", or "auto" (switch to fingerprints when
-    the exact set would blow past the byte budget or 10^6 windows).
+    Raises ValueError("budget: ...") before building any string when the
+    windows could take more than the byte budget as set members.
     """
     if isinstance(hosts, str):
         hosts = [hosts]
     if n < 0:
         raise ValueError("factor length must be non-negative")
     if n == 0:
-        return FactorSet(n=0, count=1, fingerprint_mode=False, members=frozenset({""}))
+        return frozenset({""})
     budget = max_bytes_budget(max_bytes)
     total_windows = sum(max(0, len(h) - n + 1) for h in hosts)
-    if total_windows == 0:
-        return FactorSet(n=n, count=0, fingerprint_mode=False, members=frozenset())
-    if mode == "auto":
-        approx = total_windows * (n + 64)
-        mode = "fingerprint" if (total_windows > 10**6 or approx > budget) else "exact"
-    if mode == "exact":
-        members = frozenset(_iter_windows(hosts, n))
-        return FactorSet(n=n, count=len(members), fingerprint_mode=False, members=members)
-    if mode != "fingerprint":
-        raise ValueError("unknown mode %r" % mode)
-    if total_windows * 100 > budget:
-        raise ValueError("budget: %d windows exceed WORDLAB_MAX_BYTES=%d even in fingerprint mode"
-                         % (total_windows, budget))
-    fps = set()
-    for host in hosts:
-        if len(host) < n:
-            continue
-        hasher = WindowHasher(host)
-        fps.update(int(x) for x in hasher.window_packed(n))
-    sample = audit_fingerprints(hosts, n, audit_seed)
-    return FactorSet(n=n, count=len(fps), fingerprint_mode=True,
-                     fingerprints=frozenset(fps), audit_sample_size=sample)
+    need = total_windows * (n + _SET_MEMBER_BYTES)
+    if need > budget:
+        raise ValueError("budget: %d length-%d windows need up to %d bytes > %d"
+                         % (total_windows, n, need, budget))
+    return frozenset(h[i:i + n] for h in hosts for i in range(len(h) - n + 1))
 
 
-def audit_fingerprints(hosts, n, seed=0, rate=0.01):
-    """Re-extract a random 1% of windows exactly and verify no fingerprint
-    collision among them.  Returns the sample size.  Raises on collision."""
-    if isinstance(hosts, str):
-        hosts = [hosts]
-    rng = random.Random(seed)
-    fp = Fingerprinter()
-    seen = {}
-    sample = 0
-    for hi, host in enumerate(hosts):
-        top = len(host) - n + 1
-        if top <= 0:
-            continue
-        k = max(1, int(top * rate))
-        for i in rng.sample(range(top), min(k, top)):
-            w = host[i:i + n]
-            h = fp.fingerprint(w)
-            prev = seen.get(h)
-            if prev is not None and prev != w:
-                raise AssertionError("fingerprint collision in audit sample at host %d pos %d" % (hi, i))
-            seen[h] = w
-            sample += 1
-    return sample
-
-
-def distinct_factor_count(hosts, n, mode="auto", max_bytes=None):
+def distinct_factor_count(hosts, n, max_bytes=None):
     """Exact number of distinct length-n factors of the host words."""
-    return factor_set(hosts, n, mode=mode, max_bytes=max_bytes).count
+    return len(factor_set(hosts, n, max_bytes=max_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -382,33 +173,31 @@ class ScanResult:
         return max(self.min_window_lengths.values())
 
 
-def _pattern_window_stats(pattern, host, K):
-    """(ok, first_fail, min_K) of 'every length-K window of host contains pattern'.
+def _pattern_window_stats(pos, L, host_len, K):
+    """(ok, first_fail, min_K) of 'every length-K window of a host of length
+    host_len contains a pattern of length L', given the pattern's ascending
+    occurrence positions pos.
 
     min_K is the smallest window length that works for this pattern, from the
     occurrence statistics: first occurrence, last occurrence, largest gap.
     """
-    L = len(pattern)
-    n_windows = len(host) - K + 1
-    pos = occurrence_positions(pattern, host)
-    if not pos:
+    if len(pos) == 0:
         return False, 0, None
-    # window [i, i+K) contains pattern iff some occurrence s has i <= s <= i+K-L
-    gaps = max((b - a) for a, b in zip(pos, pos[1:])) if len(pos) > 1 else 0
-    min_K = max(pos[0] + L, L + gaps - 1, len(host) - pos[-1])
+    pos = np.asarray(pos, dtype=np.int64)
+    gaps = np.diff(pos)
+    max_gap = int(gaps.max()) if len(gaps) else 0
+    min_K = max(int(pos[0]) + L, L + max_gap - 1, host_len - int(pos[-1]))
     if K >= min_K:
         return True, None, min_K
-    # reconstruct the first failing window start
+    # window [i, i+K) contains the pattern iff some occurrence s has
+    # i <= s <= i+K-L; reconstruct the first failing window start
     if pos[0] > K - L:
         return False, 0, min_K
-    fail = None
-    for a, b in zip(pos, pos[1:]):
-        if b - a > K - L + 1 and a + 1 <= n_windows - 1:
-            fail = a + 1
-            break
-    if fail is None:
-        fail = pos[-1] + 1 if pos[-1] + 1 <= n_windows - 1 else n_windows - 1
-    return False, fail, min_K
+    n_windows = host_len - K + 1
+    wide = np.flatnonzero((gaps > K - L + 1) & (pos[:-1] + 1 <= n_windows - 1))
+    if len(wide):
+        return False, int(pos[wide[0]]) + 1, min_K
+    return False, min(int(pos[-1]) + 1, n_windows - 1), min_K
 
 
 def sliding_containment_scan(host, K, patterns):
@@ -428,7 +217,8 @@ def sliding_containment_scan(host, K, patterns):
             raise ValueError("empty pattern")
         if len(p) > K:
             raise ValueError("pattern longer than window")
-        ok, fail, min_K = _pattern_window_stats(p, host, K)
+        ok, fail, min_K = _pattern_window_stats(occurrence_positions(p, host),
+                                                len(p), len(host), K)
         stats[p] = min_K if min_K is not None else len(host) + 1
         if not ok:
             failures.append((fail, p))
@@ -469,10 +259,7 @@ class WindowCensus:
         self.host = host
         self.cap = cap
         self.separators = separators
-        if len(host) * min(cap, 64) <= 8_000_000:
-            sa, lcp, vlen = self._build_python(host, cap, separators)
-        else:
-            sa, lcp, vlen = self._build_numpy(host, cap, separators)
+        sa, lcp, vlen = self._build_numpy(host, cap, separators)
         self.sa = sa
         self.lcp = lcp
         self.vlen = vlen
@@ -490,33 +277,26 @@ class WindowCensus:
             raise ValueError("n out of census range")
         return int(self.counts[n])
 
-    @staticmethod
-    def _build_python(host, cap, separators):
-        L = len(host)
-        trunc = [host[i:i + cap] for i in range(L)]
-        sa = sorted(range(L), key=trunc.__getitem__)
-        lcp = np.zeros(L, dtype=np.int64)
-        for j in range(1, L):
-            a, b = trunc[sa[j - 1]], trunc[sa[j]]
-            if a == b:
-                lcp[j] = min(len(a), len(b))
-                continue
-            lo, hi = 0, min(len(a), len(b))
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if a[:mid] == b[:mid]:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            lcp[j] = lo
-        vlen = np.empty(L, dtype=np.int64)
-        nxt = L
-        for i in range(L - 1, -1, -1):
-            if host[i] in separators:
-                nxt = i
-            vlen[i] = min(nxt - i, cap, L - i)
-        vlen = vlen[np.asarray(sa, dtype=np.int64)]
-        return np.asarray(sa, dtype=np.int64), lcp, vlen
+    def blocks(self, n):
+        """Ascending start positions of each distinct separator-free length-n
+        window: one int64 array per window, windows in lexicographic order.
+
+        The suffixes that share their first n characters are adjacent in sa,
+        and a new block starts wherever lcp < n.
+        """
+        if not (1 <= n <= self.cap):
+            raise ValueError("n out of census range")
+        valid = self.vlen >= n
+        bid = np.cumsum(self.lcp < n)[valid]
+        # sort (block, position) keys: block order is kept, so bid still
+        # labels the sorted keys, and positions ascend inside each block
+        width = np.int64(len(self.host) + 1)
+        key = bid * width + self.sa[valid]
+        if len(key) == 0:
+            return []
+        key.sort()
+        np.remainder(key, width, out=key)
+        return np.split(key, np.flatnonzero(np.diff(bid)) + 1)
 
     @staticmethod
     def _build_numpy(host, cap, separators):

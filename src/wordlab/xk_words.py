@@ -16,19 +16,12 @@
 #   t s^2 + p(81) <= p(162) <= 11 t s^2,   t = 27, s = 256,
 # by explicit witness families, and exhibits m in [82,162] with p'(m) >= s^2/3.
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .words_core import (
-    Fingerprinter,
-    WindowCensus,
-    WindowHasher,
-    factor_set,
-    max_bytes_budget,
-)
+from .words_core import WindowCensus, factor_set, max_bytes_budget
 
 # certified rational lower bound for alpha = log 4 / log 3: 3^29 < 4^23
 _ALPHA_LO = (29, 23)
@@ -186,13 +179,13 @@ class XkOracle:
         return u in self.search_host(d)
 
 
-def xk_factor_set(oracle, n, mode="auto"):
-    """Exact L_w(n) as a FactorSet."""
+def xk_factor_set(oracle, n):
+    """Exact L_w(n) as a frozenset."""
     if n < 1:
         raise ValueError("n must be >= 1")
     d = oracle._host_level_for(n)
     # use the smallest explicit host that already covers n (cheapest windows)
-    return factor_set([oracle.search_host(d)], n, mode=mode)
+    return factor_set([oracle.search_host(d)], n)
 
 
 def xk_complexity_table(oracle, n_lo, n_hi):
@@ -270,7 +263,42 @@ def spike_parameters(oracle, l):
     return t, s, n, (n + 1, n + 3 * t)
 
 
-def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2), audit_seed=0):
+def missing_xi_pairs(host, words, n):
+    """The pairs (u, v) of words (all of one length t, each starting and
+    ending in a nonzero letter) that host never shows as 0^t u 0^n v 0^t
+    around a maximal run of exactly n zeros, in sorted order.
+
+    Every xi_{u,v,i} = 0^i u 0^n v 0^(t-i), 0 <= i <= t, is a window of
+    0^t u 0^n v 0^t, so an empty result puts the whole of family B in host.
+    """
+    t = len(words[0])
+    arr = np.frombuffer(host.encode("latin1"), dtype=np.uint8)
+    nonzero = np.flatnonzero(arr != ord("0"))
+    # a maximal 0^n run starts right after a nonzero letter followed, n + 1
+    # places on, by the next one
+    runs = nonzero[np.flatnonzero(np.diff(nonzero) == n + 1)] + 1
+    zeros = "0" * t
+    found = set()
+    for z in runs.tolist():
+        if (z >= 2 * t and host[z - 2 * t:z - t] == zeros
+                and host[z + n + t:z + n + 2 * t] == zeros):
+            found.add((host[z - t:z], host[z + n:z + n + t]))
+    return sorted(set((u, v) for u in words for v in words) - found)
+
+
+def _decodes_as_xi(e, wordset, n, t):
+    """Is e = 0^i u 0^n v 0^(t-i) with u, v in wordset and 0 <= i <= t?
+
+    The words start with a nonzero letter, so i is the number of leading
+    zeros and the decoding is unique."""
+    i = len(e) - len(e.lstrip("0"))
+    return (i <= t and e[i:i + t] in wordset
+            and e[i + t:i + t + n] == "0" * n
+            and e[i + t + n:i + 2 * t + n] in wordset
+            and e[i + 2 * t + n:] == "0" * (t - i))
+
+
+def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     """The two-sided estimate at checkpoint l and the derivative spike.
 
     Certifies t s^2 + p(n) <= p(n+3t) <= 11 t s^2 (11 is the proof constant)
@@ -279,8 +307,12 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2), audit_seed=0):
          length n, taken at its first interior occurrence in the search host
          (re-chosen to avoid the xi shape when a != 0^n);
       B: xi_{u,v,i} = 0^i u 0^n v 0^{t-i} for u, v in X_{k_l+r}, 0 <= i <= t.
-    Their fingerprint sets are certified distinct (audited) and overlap in
-    exactly one word.  Returns the report with the spike position m.
+    Both checks are exact.  A's extensions are distinct strings read from
+    the census blocks.  B is never built: each xi decodes uniquely (i is
+    the number of leading zeros), so |B| = (t+1) s^2, and B lies in L_w
+    once every pair (u, v) occurs in the host as 0^t u 0^n v 0^t.  The
+    families overlap in exactly the extension of 0^n.  Failed checks raise
+    AssertionError.  Returns the report with the spike position m.
     """
     r = oracle.params.r
     t, s, n, (wlo, whi) = spike_parameters(oracle, l)
@@ -288,7 +320,8 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2), audit_seed=0):
     d_host = ks[l] + 1                    # X_{k_{l+1}} feeds the host of depth k_{l+1}
     if d_host > oracle.E:
         raise ValueError("budget: checkpoint l=%d needs level %d explicit" % (l, d_host))
-    assert oracle.level(d_host).n >= whi, "host level too shallow for the window"
+    if oracle.level(d_host).n < whi:
+        raise AssertionError("host level too shallow for the window")
     host = oracle.search_host(d_host)
     L = len(host)
     census = oracle.census(whi, d=d_host)
@@ -296,112 +329,69 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2), audit_seed=0):
     p = {m: census.count(m) for m in range(n, whi + 1)}
     ts2 = t * s * s
 
-    # --- family A ------------------------------------------------------
-    sa, lcp, vlen = census.sa, census.lcp, census.vlen
-    sa = np.asarray(sa, dtype=np.int64)
-    bid = np.cumsum(np.asarray(lcp) < n)          # block id by shared n-prefix
-    valid = np.asarray(vlen) >= n
-    vbid = bid[valid]
-    vpos = sa[valid]
-    # representative: smallest margined position per block
-    margin_ok = (vpos >= t) & (vpos <= L - (n + 2 * t))
-    big = np.int64(L + 1)
-    cand = np.where(margin_ok, vpos, big)
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(vbid) != 0)))
-    reps = np.minimum.reduceat(cand, starts)
-    assert len(reps) == p[n], "n-block count %d != p(n)=%d" % (len(reps), p[n])
-    assert int(reps.max()) <= L, "a length-%d factor has no margined occurrence" % n
-    wh = WindowHasher(host)
-    ext_starts = reps - t
-    h1, h2 = wh.window_raw(n + 3 * t, starts=ext_starts)
-    fam_a_list = [(int(a) << 64) | int(b) for a, b in zip(h1.tolist(), h2.tolist())]
-    fam_a = set(fam_a_list)
-    assert len(fam_a) == p[n], "family A extensions are not injective"
-
     # --- family B ------------------------------------------------------
-    fp = Fingerprinter()
     xk = oracle.level(ks[l - 1] + r)      # X_{k_l + r}
-    assert xk.s == s and xk.n == t
-    uraws = {u: fp.raw(u) for u in xk.words}
-    zraw = [fp.raw("0" * i) for i in range(t + 1)]
-    znraw = fp.raw("0" * n)
-    fam_b = set()
-    mids = {}
-    for u in xk.words:
-        mu = fp.combine(uraws[u], t, znraw)       # u 0^n
-        mids[u] = mu
-    for u in xk.words:
-        for v in xk.words:
-            core = fp.combine(mids[u], t + n, uraws[v])        # u 0^n v
-            for i in range(t + 1):
-                pre = fp.combine(zraw[i], i, core)             # 0^i u 0^n v
-                full = fp.combine(pre, i + 2 * t + n, zraw[t - i])
-                fam_b.add((full[0] << 64) | full[1])
-    expect_b = (t + 1) * s * s
-    assert len(fam_b) == expect_b, "family B is not injective"
+    wordset = set(xk.words)
+    if not (xk.s == s == len(wordset) and xk.n == t):
+        raise AssertionError("X_%d does not have s=%d words of length t=%d"
+                             % (xk.k, s, t))
+    if not all(u[0] in "12" and u[-1] in "12" for u in xk.words):
+        raise AssertionError("an X_%d word has 0 at the boundary" % xk.k)
+    missing = missing_xi_pairs(host, xk.words, n)
+    if missing:
+        raise AssertionError("family B: (u, v) = %r never occurs as "
+                             "0^t u 0^n v 0^t" % (missing[0],))
+    fam_b = (t + 1) * s * s
 
-    # audit: 1% of family B rebuilt as strings, fingerprints must match and
-    # sampled members must be factors of w
-    rng = random.Random(audit_seed)
-    audit_n = max(1, expect_b // 100)
-    zeros_n = "0" * n
-    seen = {}
-    factor_checks = 0
-    for _ in range(audit_n):
-        u = rng.choice(xk.words)
-        v = rng.choice(xk.words)
-        i = rng.randrange(t + 1)
-        xi = "0" * i + u + zeros_n + v + "0" * (t - i)
-        h = fp.fingerprint(xi)
-        assert h in fam_b
-        prev = seen.get(h)
-        assert prev is None or prev == xi, "fingerprint collision in audit"
-        seen[h] = xi
-        if factor_checks < 64:
-            assert xi in host, "xi is not a factor"
-            factor_checks += 1
+    # --- family A ------------------------------------------------------
+    # one extension per length-n factor, at its smallest occurrence with
+    # room for the extension on both sides.  The extensions are ours to
+    # choose: whenever the extension of some a != 0^n happens to take the
+    # xi shape, re-choose a later occurrence whose extension leaves family
+    # B (one always exists: an occurrence whose following 0-run is longer
+    # than n cannot look like any xi)
+    blocks = census.blocks(n)
+    if len(blocks) != p[n]:
+        raise AssertionError("n-block count %d != p(n)=%d" % (len(blocks), p[n]))
+    p0 = host.find("0" * n)
+    fam_a = []
+    rechosen = 0
+    for pos in blocks:
+        lo, hi = np.searchsorted(pos, [t, L - (n + 2 * t) + 1])
+        if lo == hi:
+            raise AssertionError("the length-%d factor %r has no margined occurrence"
+                                 % (n, host[pos[0]:pos[0] + n]))
+        q = int(pos[lo])
+        e = host[q - t:q + n + 2 * t]
+        if q != p0 and _decodes_as_xi(e, wordset, n, t):
+            for q in pos[lo + 1:hi].tolist():
+                e = host[q - t:q + n + 2 * t]
+                if not _decodes_as_xi(e, wordset, n, t):
+                    break
+            else:
+                raise AssertionError("no extension outside family B for the "
+                                     "length-%d factor %r" % (n, e[t:t + n]))
+            rechosen += 1
+        fam_a.append(e)
 
     # --- overlap -------------------------------------------------------
-    # the extensions are ours to choose: whenever the extension of some
-    # a != 0^n happens to take the xi shape, re-choose a later occurrence
-    # whose extension leaves family B (one always exists: an occurrence
-    # whose following 0-run is longer than n cannot look like any xi)
-    p0 = host.find(zeros_n)
-    ends = np.append(starts[1:], len(vbid))
-    rechosen = 0
-    for j, fpj in enumerate(fam_a_list):
-        if fpj not in fam_b:
-            continue
-        if int(reps[j]) == p0:
-            continue                      # the extension of 0^n stays
-        block_pos = sorted(int(x) for x in vpos[starts[j]:ends[j]]
-                           if t <= int(x) <= L - (n + 2 * t))
-        new_fp = None
-        for q in block_pos:
-            ext = host[q - t:q + n + 2 * t]
-            h = fp.fingerprint(ext)
-            if h not in fam_b:
-                new_fp = h
-                break
-        assert new_fp is not None, "no collision-free extension for block %d" % j
-        fam_a.discard(fpj)
-        fam_a.add(new_fp)
-        fam_a_list[j] = new_fp
-        rechosen += 1
-    assert len(fam_a) == p[n], "family A injectivity lost after re-choosing"
-    overlap = fam_a & fam_b
-    assert len(overlap) == 1, "family overlap is not a singleton: %d" % len(overlap)
-    # the overlap is the extension of 0^n: first occurrence sits right after
-    # the first component of the first host word
-    xi0 = host[p0 - t:p0 + n + 2 * t]
-    assert fp.fingerprint(xi0) in overlap
+    if len(set(fam_a)) != p[n]:
+        raise AssertionError("family A extensions are not injective")
+    # the overlap is the extension of 0^n: its first occurrence sits right
+    # after the first component of the first host word
+    overlap = [e for e in fam_a if _decodes_as_xi(e, wordset, n, t)]
+    if overlap != [host[p0 - t:p0 + n + 2 * t]]:
+        raise AssertionError("family overlap is not the extension of 0^n: %d words"
+                             % len(overlap))
 
-    union = len(fam_a) + len(fam_b) - len(overlap)
+    union = len(fam_a) + fam_b - len(overlap)
     lower_ok = p[whi] >= ts2 + p[n]
     lower_fam_ok = union >= ts2 + p[n]
     upper_ok = p[whi] <= 11 * ts2
-    assert p[whi] >= union, "census contradicts the witness families"
-    assert lower_ok and lower_fam_ok and upper_ok
+    if p[whi] < union:
+        raise AssertionError("census contradicts the witness families")
+    if not (lower_ok and lower_fam_ok and upper_ok):
+        raise AssertionError("t s^2 + p(n) <= p(n+3t) <= 11 t s^2 fails")
 
     # --- the spike -----------------------------------------------------
     best_m, best_dp = None, -1
@@ -409,7 +399,8 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2), audit_seed=0):
         dpm = p[m] - p[m - 1]
         if dpm > best_dp:
             best_m, best_dp = m, dpm
-    assert 3 * best_dp >= s * s, "no m with p'(m) >= s^2/3 in the window"
+    if 3 * best_dp < s * s:
+        raise AssertionError("no m with p'(m) >= s^2/3 in the window")
     eps = Fraction(epsilon)
     pe, qe = eps.numerator, eps.denominator
     # p'(m) >= p(m) / m^epsilon  <=>  p'(m)^q m^p >= p(m)^q
@@ -419,14 +410,14 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2), audit_seed=0):
         "r": r, "l": l, "t": t, "s": s,
         "window": [wlo, whi],
         "p_n": p[n], "p_n3t": p[whi], "ts2": ts2,
-        "family_a": len(fam_a), "family_b": len(fam_b), "overlap": len(overlap),
+        "family_a": len(fam_a), "family_b": fam_b, "overlap": len(overlap),
         "lower_ok": bool(lower_ok), "lower_family_ok": bool(lower_fam_ok),
         "upper_11ts2_ok": bool(upper_ok), "upper_constant": "11 (proof constant)",
         "m": best_m, "p_m": p[best_m], "dp_m": best_dp,
         "spike_ok": bool(3 * best_dp >= s * s),
         "epsilon": str(eps), "lhs": best_dp, "rhs_note": "p(m)/m^epsilon",
         "epsilon_ok": bool(eps_ok),
-        "audit_sample": audit_n, "extensions_rechosen": rechosen,
+        "extensions_rechosen": rechosen,
         "pass": bool(lower_ok and lower_fam_ok and upper_ok
                      and 3 * best_dp >= s * s and eps_ok),
     }

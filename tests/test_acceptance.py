@@ -118,6 +118,13 @@ def test_criterion_05_recurrence(subst):
     assert r18["rec"] == 197 and 36 <= r18["rec"] <= 252
     r108 = recurrence_function(subst, 108)
     assert r108["rec"] == 6587 and 1296 <= r108["rec"] <= 9072
+    # the first failing window at Rec - 1 and the pattern it misses
+    assert r108["certificate"] == {
+        "host": "AB", "host_level": 4, "window_length": 6586,
+        "failing_window": 1675622,
+        "missing_pattern": "babbabbabbaaabaabbbabbabbabbaaabaabbbabbabbabbaaabaabbb"
+                           "abbabbabbaaabaabaabaabaabaabbbabbaaabaabaabaabbbabbaa",
+    }
 
 
 @report(6, "X_k structure lemma checks, r=2, k <= 6")
@@ -136,6 +143,10 @@ def test_criterion_07_spike(xk):
     assert rep["ts2"] == 27 * 65536 == 1769472
     assert rep["p_n3t"] - rep["p_n"] >= 1769472
     assert rep["overlap"] == 1
+    # p(81) extensions, (t+1) s^2 decoded xi words, and the extensions that
+    # had to leave the xi shape
+    assert (rep["family_a"], rep["family_b"]) == (rep["p_n"], 28 * 65536)
+    assert rep["p_n"] == 29193 and rep["extensions_rechosen"] == 27
     assert rep["p_n3t"] <= 11 * 1769472
     assert 82 <= rep["m"] <= 162
     assert 3 * rep["dp_m"] >= 65536

@@ -176,7 +176,7 @@ def test_algebra_commands(capsys):
 def test_failure_serializes_witness(capsys, monkeypatch):
     import wordlab.xk_words as xw
 
-    def fake(oracle, l=1, epsilon=None, audit_seed=0):
+    def fake(oracle, l=1, epsilon=None):
         return {"pass": False, "reason": "synthetic failure for plumbing"}
 
     monkeypatch.setattr(xw, "verify_derivative_spike", fake)
@@ -185,6 +185,16 @@ def test_failure_serializes_witness(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(err)
     assert doc["witness"]["reason"].startswith("synthetic")
+
+    # a check that raises inside the spike is a verification failure too
+    def raising(oracle, l=1, epsilon=None):
+        raise AssertionError("synthetic failed check")
+
+    monkeypatch.setattr(xw, "verify_derivative_spike", raising)
+    code, out, err = run(capsys, "xk", "--max-level", "5", "verify-spike",
+                         "--l", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["witness"] == {"failed_assertion": "synthetic failed check"}
 
 
 # sha256 of stdout recorded before substitution-language queries moved to

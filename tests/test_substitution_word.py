@@ -1,7 +1,13 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import wordlab
 
 from wordlab.substitution_word import (
     SubstParams,
@@ -16,9 +22,12 @@ from wordlab.substitution_word import (
     verify_substitution_lemmas,
 )
 from wordlab.words_core import (
+    WindowCensus,
+    _pattern_window_stats,
     count_occurrences,
     factor_set,
     min_period,
+    naive_containment,
     sliding_containment_scan,
 )
 
@@ -93,10 +102,10 @@ def test_budget_rejected():
 
 
 def test_factor_sets(lv):
-    assert subst_factor_set(lv, 1).members == frozenset("ab")
-    f3 = subst_factor_set(lv, 3).members
+    assert subst_factor_set(lv, 1) == frozenset("ab")
+    f3 = subst_factor_set(lv, 3)
     assert "bbb" in f3 and "aaa" in f3
-    assert "bbbb" not in subst_factor_set(lv, 4).members
+    assert "bbbb" not in subst_factor_set(lv, 4)
     with pytest.raises(ValueError):
         subst_factor_set(lv, lv.Nt[lv.K] + 1)
 
@@ -157,7 +166,7 @@ def test_recurrence_small(lv):
     r = recurrence_function(lv, 1)
     assert r["rec"] == 4
     # linear cross-check at the smallest level: direct scan of every window
-    pats = sorted(subst_factor_set(lv, 1).members)
+    pats = sorted(subst_factor_set(lv, 1))
     host = lv.AB(2)
     assert sliding_containment_scan(host, 4, pats).ok
     assert not sliding_containment_scan(host, 3, pats).ok
@@ -186,13 +195,53 @@ def test_recurrence_certificate(lv):
     assert len(c["missing_pattern"]) == 3
 
 
-def test_hash_and_find_stats_agree(lv):
-    from wordlab.substitution_word import _pattern_stats_find, _pattern_stats_hash
-    pats = sorted(subst_factor_set(lv, 5).members)
+def test_block_and_find_stats_agree(lv):
+    # window statistics from census blocks against str.find positions, and
+    # the first failing window against a rescan of every window
+    pats = sorted(subst_factor_set(lv, 5))
     host = lv.AB(3)
-    a = _pattern_stats_find(host, pats)
-    b = _pattern_stats_hash(host, pats, 5)
-    assert a == b
+    blocks = WindowCensus(host, 5).blocks(5)
+    assert [host[b[0]:b[0] + 5] for b in blocks] == pats
+    want = sliding_containment_scan(host, len(host), pats).min_window_lengths
+    got = {p: _pattern_window_stats(b, 5, len(host), len(host))[2]
+           for p, b in zip(pats, blocks)}
+    assert got == want
+    for K in (5, 40, 200, 2000):
+        fails = []
+        for p, b in zip(pats, blocks):
+            ok, fail, _ = _pattern_window_stats(b, 5, len(host), K)
+            if not ok:
+                fails.append((fail, p))
+        ok, fail, p = naive_containment(host, K, pats)
+        assert ok == (not fails)
+        if fails:
+            assert min(fails) == (fail, p)
+
+
+# a containment scan that passes every window makes the recurrence
+# cross-check's binary search land on n; the test below runs this under
+# python -O, where an assert would be stripped
+_DISAGREEING_CROSS_CHECK = """
+import sys
+from wordlab import cli, substitution_word as sw, words_core
+
+assert sys.flags.optimize
+sw.sliding_containment_scan = lambda host, K, patterns: words_core.ScanResult(True, K)
+sys.exit(cli.parse_and_dispatch(["subst", "--gamma", "2", "recurrence", "--n", "18"]))
+"""
+
+
+def test_recurrence_cross_check_fails_under_python_O():
+    env = dict(os.environ)
+    env.pop("PYTHONOPTIMIZE", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(wordlab.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", _DISAGREEING_CROSS_CHECK],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    doc = json.loads(proc.stderr)
+    assert doc["witness"] == {
+        "failed_assertion": "binary search 18 disagrees with closed form 197"}
 
 
 def test_aperiodicity(lv):
@@ -273,19 +322,19 @@ def test_junction_factor_sets_agree_with_masters(params, levels_checked):
     for k in levels_checked:
         census = levels.census(k)
         for n in range(1, levels.Nt[k] + 1):
-            want = factor_set([levels.AB(k), levels.BA(k)], n, mode="exact")
-            assert census.count(n) == want.count, (k, n)
+            want = factor_set([levels.AB(k), levels.BA(k)], n)
+            assert census.count(n) == len(want), (k, n)
             if levels.min_level_for(n) == k:
-                assert subst_factor_set(levels, n).members == want.members, (k, n)
+                assert subst_factor_set(levels, n) == want, (k, n)
 
 
 def test_junction_level3_samples(lv):
     census = lv.census(3)
     for n in (1, 5, 19, 100, 500, 1000, lv.Nt[3]):
-        want = factor_set([lv.AB(3), lv.BA(3)], n, mode="exact")
-        assert census.count(n) == want.count
+        want = factor_set([lv.AB(3), lv.BA(3)], n)
+        assert census.count(n) == len(want)
         if n > lv.Nt[2]:
-            assert subst_factor_set(lv, n).members == want.members
+            assert subst_factor_set(lv, n) == want
 
 
 def test_junction_window_shape(lv):

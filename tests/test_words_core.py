@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wordlab.words_core import (
     Alphabet,
-    Fingerprinter,
     WindowCensus,
-    WindowHasher,
     count_occurrences,
     factor_set,
     frequency,
@@ -81,51 +79,25 @@ def test_alphabet():
 
 def test_factor_set_exact():
     fs = factor_set("aabab", 2)
-    assert not fs.fingerprint_mode
-    assert fs.members == frozenset({"aa", "ab", "ba"})
-    assert len(fs) == 3
+    assert fs == frozenset({"aa", "ab", "ba"})
     assert "ab" in fs and "bb" not in fs and "abc" not in fs
+    assert factor_set("aabab", 0) == frozenset({""})
+    assert factor_set("ab", 3) == frozenset()
 
 
 def test_factor_set_host_order_invariance():
     rng = random.Random(5)
     hosts = ["".join(rng.choice("01") for _ in range(rng.randint(3, 30))) for _ in range(8)]
     for n in (1, 2, 4):
-        a = factor_set(hosts, n)
-        b = factor_set(list(reversed(hosts)), n)
-        assert a.members == b.members
+        assert factor_set(hosts, n) == factor_set(list(reversed(hosts)), n)
 
 
-def test_factor_set_fingerprint_mode_agrees_with_exact():
-    rng = random.Random(9)
-    host = "".join(rng.choice("012") for _ in range(4000))
-    for n in (1, 3, 9):
-        exact = factor_set(host, n, mode="exact")
-        fp = factor_set(host, n, mode="fingerprint")
-        assert fp.fingerprint_mode and fp.count == exact.count
-        for w in list(exact.members)[:50]:
-            assert w in fp
-        assert fp.audit_sample_size > 0
-
-
-def test_fingerprint_combine_matches_direct():
-    fp = Fingerprinter()
-    rng = random.Random(1)
-    for _ in range(500):
-        a = "".join(rng.choice("012ab") for _ in range(rng.randint(0, 25)))
-        b = "".join(rng.choice("012ab") for _ in range(rng.randint(0, 25)))
-        assert fp.combine(fp.raw(a), len(a), fp.raw(b)) == fp.raw(a + b)
-
-
-def test_window_hasher_matches_python_fingerprints():
-    fp = Fingerprinter()
-    rng = random.Random(2)
-    host = "".join(rng.choice("012") for _ in range(800))
-    wh = WindowHasher(host)
-    for n in (1, 2, 7, 80):
-        packed = wh.window_packed(n)
-        for i in range(0, len(host) - n + 1, 53):
-            assert int(packed[i]) == fp.fingerprint(host[i:i + n])
+def test_factor_set_budget_checked_before_building():
+    # 991 windows of length 10 may take 991 * (10 + 112) bytes as set members
+    host = "ab" * 500
+    assert len(factor_set(host, 10, max_bytes=991 * 122)) == 2
+    with pytest.raises(ValueError, match="^budget: 991 length-10 windows"):
+        factor_set(host, 10, max_bytes=991 * 122 - 1)
 
 
 def _brute_counts(host, cap, seps):
@@ -137,14 +109,38 @@ def _brute_counts(host, cap, seps):
 
 
 def test_window_census_python_path():
+    # the census against brute-force python sets: random hosts with and
+    # without separators, caps past the host length, hosts made only of
+    # separators, and separators at both ends
     rng = random.Random(3)
-    for _ in range(20):
-        host = "".join(rng.choice("01|") for _ in range(rng.randint(1, 50)))
-        cap = rng.randint(1, 15)
+    cases = [("|", 3), ("|||", 1), ("|||", 5), ("|01|", 6), ("||0110||", 9),
+             ("0", 1), ("01", 70), ("|" + "01" * 20 + "|", 45)]
+    for _ in range(300):
+        letters = rng.choice(("01", "01|"))
+        host = "".join(rng.choice(letters) for _ in range(rng.randint(1, 60)))
+        cases.append((host, rng.randint(1, 70)))
+    for host, cap in cases:
         c = WindowCensus(host, cap, separators="|")
         brute = _brute_counts(host, cap, "|")
         for n in range(1, cap + 1):
-            assert c.count(n) == brute[n]
+            assert c.count(n) == brute[n], (host, cap, n)
+
+
+def test_window_census_blocks_are_occurrence_sets():
+    rng = random.Random(12)
+    hosts = ["|" * 4, "|0|", "0110|0110", "012" * 9]
+    hosts += ["".join(rng.choice("01|") for _ in range(rng.randint(1, 80))) for _ in range(60)]
+    for host in hosts:
+        cap = rng.randint(1, 12)
+        c = WindowCensus(host, cap, separators="|")
+        for n in range(1, cap + 1):
+            blocks = c.blocks(n)
+            windows = [host[b[0]:b[0] + n] for b in blocks]
+            assert windows == sorted(set(host[i:i + n] for i in range(len(host) - n + 1)
+                                         if "|" not in host[i:i + n]))
+            assert len(blocks) == c.count(n)
+            for w, b in zip(windows, blocks):
+                assert b.tolist() == occurrence_positions(w, host)
 
 
 def test_window_census_numpy_path():

@@ -2,9 +2,11 @@ import pytest
 
 from wordlab.xk_words import (
     XkOracle,
+    _decodes_as_xi,
     XkParams,
     build_xk_levels,
     checkpoints,
+    missing_xi_pairs,
     spike_parameters,
     verify_xk_structure,
     xk_complexity_table,
@@ -60,9 +62,9 @@ def test_chained_level(oracle):
 
 
 def test_factor_sets_small(oracle):
-    f1 = xk_factor_set(oracle, 1).members
+    f1 = xk_factor_set(oracle, 1)
     assert f1 == frozenset("012")
-    f3 = xk_factor_set(oracle, 3).members
+    f3 = xk_factor_set(oracle, 3)
     assert "000" in f3 and "101" in f3 and "111" not in f3
     assert len(f3) == oracle.complexity(3)
 
@@ -126,6 +128,39 @@ def test_spike_parameters(oracle):
     assert window == (82, 162)
     with pytest.raises(ValueError):
         spike_parameters(oracle, 0)
+
+
+def test_missing_xi_pairs(oracle):
+    # X_3 = X_2 0^3 X_2 and X_2 = X_1 0 X_1: around each maximal 0^3 run of
+    # the level-3 search host sits 0 y 000 x 0 with x, y in X_1 = {1, 2}
+    assert missing_xi_pairs(oracle.search_host(3), oracle.level(1).words, 3) == []
+    words = oracle.level(2).words           # t = 3
+    pairs = [(u, v) for u in words for v in words]
+
+    def host(ps, n=9, left=3, right=3):
+        return "|".join("0" * left + u + "0" * n + v + "0" * right for u, v in ps)
+
+    assert missing_xi_pairs(host(pairs), words, 9) == []
+    assert missing_xi_pairs(host(pairs[:5] + pairs[6:]), words, 9) == [pairs[5]]
+    # runs one zero longer, or padding one zero short, show no pair
+    assert missing_xi_pairs(host(pairs, n=10), words, 9) == pairs
+    assert missing_xi_pairs(host(pairs, left=2), words, 9) == pairs
+    assert missing_xi_pairs(host(pairs, right=2), words, 9) == pairs
+
+
+def test_decodes_as_xi(oracle):
+    words = set(oracle.level(2).words)      # t = 3, n = 9 below
+    xi = ["0" * i + u + "0" * 9 + v + "0" * (3 - i)
+          for u in words for v in words for i in range(4)]
+    assert all(_decodes_as_xi(e, words, 9, 3) for e in xi)
+    assert len(set(xi)) == 4 * 4 * 4                   # (t+1) s^2, all distinct
+    z9 = "0" * 9
+    for bad in ("0000202" + z9 + "20",                  # t+1 leading zeros
+                "0202000010000202" + "00",              # a nonzero letter in 0^n
+                "0202" + z9 + "20201",                  # trailing 0^(t-i) broken
+                "0111" + z9 + "20200",                  # u not a word
+                "0202" + z9 + "11100"):                 # v not a word
+        assert not _decodes_as_xi(bad, words, 9, 3), bad
 
 
 def test_params_validation():
