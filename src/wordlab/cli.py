@@ -4,6 +4,7 @@
 # Exit codes:
 #   0  success, every verification in the run passed
 #   1  at least one verification failed; the failing witness is serialized
+#      (a check that raises AssertionError gives {"failed_assertion": msg})
 #   2  usage or resource errors
 #
 # Determinism contract: identical invocations produce identical bytes.  All
@@ -139,10 +140,7 @@ def _growth_table(args):
 
 def run_growth(args):
     g = _growth_table(args)
-    try:
-        w = build_superlinear_witness(g)       # runs verify_witness
-    except AssertionError as e:
-        raise VerificationFailure({"failed_assertion": str(e)})
+    w = build_superlinear_witness(g)           # runs verify_witness
     if args.command == "build":
         deriv, flag = discrete_derivative(w.f)
         rows = [(n, w.f.values[n], deriv.values[n], w.omega[n])
@@ -216,11 +214,7 @@ def run_xk(args):
             raise VerificationFailure(rep)
         return True
     # verify-spike
-    try:
-        rep = verify_derivative_spike(oracle, l=args.l,
-                                      epsilon=Fraction(args.epsilon))
-    except AssertionError as e:
-        raise VerificationFailure({"failed_assertion": str(e)})
+    rep = verify_derivative_spike(oracle, l=args.l, epsilon=Fraction(args.epsilon))
     emit_report(rep, args, passed=rep["pass"])
     if not rep["pass"]:
         raise VerificationFailure(rep)
@@ -330,10 +324,7 @@ def run_subst(args):
     if args.command == "recurrence":
         rows = []
         for n in [int(x) for x in args.n.split(",")]:
-            try:
-                r = recurrence_function(levels, n)
-            except AssertionError as e:
-                raise VerificationFailure({"failed_assertion": str(e)})
+            r = recurrence_function(levels, n)
             rows.append((n, r["rec"], r["upper_bound_7Nk"]))
         emit_report({"table": rows}, args, rows=rows,
                     columns=["n", "rec", "upper_7Nk"])
@@ -341,16 +332,10 @@ def run_subst(args):
     # verify
     rec_samples = [int(x) for x in args.rec_samples.split(",")] \
         if args.rec_samples else []
-    try:
-        rep = verify_substitution_lemmas(levels, args.k_max,
-                                         rec_samples=rec_samples,
-                                         p_max=args.p_max)
-        extra = {"beta_cubed": {k: beta_cubed_positions(levels, k)
-                                for k in range(min(args.k_max, levels.K - 1)
-                                               + 1)}}
-    except AssertionError as e:
-        raise VerificationFailure({"failed_assertion": str(e)})
-    rep.update(extra)
+    rep = verify_substitution_lemmas(levels, args.k_max,
+                                     rec_samples=rec_samples, p_max=args.p_max)
+    rep["beta_cubed"] = {k: beta_cubed_positions(levels, k)
+                         for k in range(min(args.k_max, levels.K - 1) + 1)}
     emit_report(rep, args)
     return True
 
@@ -461,10 +446,7 @@ def run_algebra(args):
             raise VerificationFailure(rep)
         return True
     if args.command == "decompose-identity":
-        try:
-            rep = verify_unit_decomposition(lang, args.l)
-        except AssertionError as e:
-            raise VerificationFailure({"failed_assertion": str(e)})
+        rep = verify_unit_decomposition(lang, args.l)
         emit_report(rep, args, passed=rep["pass"])
         if not rep["pass"]:
             raise VerificationFailure(rep)
@@ -613,7 +595,11 @@ def parse_and_dispatch(argv):
             args.max_bytes = max_bytes_budget()
         if args.max_bytes is not None and args.max_bytes < MIN_MAX_BYTES:
             raise UsageError("max_bytes must be >= %d" % MIN_MAX_BYTES)
-        _RUNNERS[args.family](args)
+        try:
+            _RUNNERS[args.family](args)
+        except AssertionError as e:
+            # a check that raises explicitly, so it also holds under python -O
+            raise VerificationFailure({"failed_assertion": str(e)}) from e
         return 0
     except VerificationFailure as e:
         sys.stderr.write(json.dumps(

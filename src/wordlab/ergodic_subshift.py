@@ -13,6 +13,9 @@
 #   I_n = [a_n, b_n] = convex hull of {phi_u(w) : w in W(n)}, Delta_n = b_n - a_n
 #     I_{n+1} <= I_n + [0, d/2^{n+1}]          (d = |u|)
 #     Delta_{n+1} <= Delta_n + d/2^{n+1},  and <= Delta_n/2 + d/2^{n+1} if c_n = 1
+#   The intervals come from the product itself: with p, s the first and last
+#   d-1 letters,  Phi_u(wv) = Phi_u(w) + Phi_u(v) + Phi_u(s(w) p(v)),  so the
+#   counts over W(k+1) are a |W(k)| x |C(k)| table over the counts of W(k).
 #
 #   Every factor of the subshift splits into W-blocks with increasing then
 #   decreasing levels (binary-expansion decomposition).
@@ -21,6 +24,7 @@ import random
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -81,11 +85,12 @@ def build_c_sequence(params):
         N.append(N[k] * nxt)
     ones = {k for k, v in enumerate(c) if v == 1}
     # invariants
-    assert c[0] == 1
     for k in range(K):
-        assert 1 <= c[k + 1] <= N[k], "c_%d out of range" % (k + 1)
+        if not 1 <= c[k + 1] <= N[k]:
+            raise AssertionError("c_%d out of range" % (k + 1))
     for k in range(K + 1):
-        assert f(2 ** k) <= N[k] <= 2 * f(2 ** (k + 1)), "N_%d sandwich fails" % k
+        if not f(2 ** k) <= N[k] <= 2 * f(2 ** (k + 1)):
+            raise AssertionError("N_%d sandwich fails" % k)
     if ones == {0}:
         raise ValueError("no k >= 1 with c_k = 1 on the tabulated range: "
                          "f is not subexponential there, or the horizon is "
@@ -118,6 +123,11 @@ class ErgodicLevels:
 
     def W(self, k):
         return self.levels[k].W
+
+    @cached_property
+    def Wsets(self):
+        """Frozensets of every level's words, built on first use."""
+        return [frozenset(lv.W) for lv in self.levels]
 
 
 def build_ergodic_levels(params, cseq=None):
@@ -152,8 +162,9 @@ def build_ergodic_levels(params, cseq=None):
         consume = (c_k == 1) and (2 ** k >= len(head))
         if consume:
             cand = sorted(v for v in W if v.startswith(head))
-            assert cand, ("construction invariant violated: no word of W(%d) "
-                          "has prefix %r" % (k, head))
+            if not cand:
+                raise AssertionError("construction invariant violated: no word "
+                                     "of W(%d) has prefix %r" % (k, head))
             C = [cand[0] if lex else rng.choice(cand)]
         else:
             C = sorted(W)[:c_k] if lex else sorted(rng.sample(W, c_k))
@@ -161,7 +172,8 @@ def build_ergodic_levels(params, cseq=None):
         lv.consumed = consume
         log[-1]["consumed_head"] = consume
         W = sorted(w + v for w in W for v in C)
-        assert len(W) == len(lv.W) * c_k, "W(%d) lost words" % (k + 1)
+        if len(W) != len(lv.W) * c_k:
+            raise AssertionError("W(%d) lost words" % (k + 1))
         appended = list(W) if lex else rng.sample(W, len(W))
         queue = queue + appended
         if consume:
@@ -182,6 +194,67 @@ class FrequencyInterval:
         return self.b - self.a
 
 
+def _count_extremes(levels, u, n_hi):
+    """[(min, max) of Phi_u over W(k) for k = 0..n_hi], by the level recursion.
+
+    An occurrence of u (d = |u|) in a product wv lies in w, in v, or across
+    the junction, and then inside s(w) p(v), where p and s take the first
+    and last d-1 letters (the whole word if it is shorter).  Neither half of
+    s(w) p(v) holds an occurrence of its own, so at every length
+        Phi_u(wv) = Phi_u(w) + Phi_u(v) + Phi_u(s(w) p(v)).
+    Levels are scanned directly up to k0, the first whose words are at
+    least d-1 long.  Above it p(wv) = p(w) and s(wv) = s(v), so each word
+    carries a prefix id and a suffix id into the fixed string lists of W(k0),
+    and the counts of W(k+1) = W(k) C(k) are the |W(k)| x |C(k)| table
+        cnt[i] + cnt[c_j] + J[suf_i, pre_{c_j}],
+    raveled row by row, with the junction count J taken once per distinct
+    (suffix, prefix) pair.  A C(k) member is placed in that order by its
+    W(k0) block (a dict of W(k0)) and its C(m) blocks for k0 <= m < k."""
+    r = len(u) - 1
+    k0 = 0
+    while 2 ** k0 < r:
+        k0 += 1
+    out = []
+    for k in range(min(k0, n_hi) + 1):
+        cnt = np.array([count_occurrences(u, w) for w in levels.W(k)],
+                       dtype=np.int64)
+        out.append((int(cnt.min()), int(cnt.max())))
+    if n_hi <= k0:
+        return out
+    words = levels.W(k0)
+    pre_str, pre = np.unique([w[:r] for w in words], return_inverse=True)
+    suf_str, suf = np.unique([w[len(w) - r:] for w in words], return_inverse=True)
+    J = np.full((len(suf_str), len(pre_str)), -1, dtype=np.int64)
+    first = {w: i for i, w in enumerate(words)}
+    columns = []                      # columns[m - k0]: C(m) member -> column
+
+    def position(x):
+        i = first[x[:2 ** k0]]
+        for m, col in enumerate(columns, k0):
+            i = i * len(col) + col[x[2 ** m:2 ** (m + 1)]]
+        return i
+
+    for k in range(k0, n_hi):
+        C = levels.levels[k].C
+        ci = np.array([position(c) for c in C], dtype=np.int64)
+        rows, cols = suf[:, None], pre[ci][None, :]
+        for a in np.unique(rows).tolist():
+            for b in np.unique(cols).tolist():
+                if J[a, b] < 0:
+                    J[a, b] = count_occurrences(u, suf_str[a] + pre_str[b])
+        cnt = (cnt[:, None] + cnt[ci][None, :] + J[rows, cols]).ravel()
+        pre, suf = np.repeat(pre, len(C)), np.tile(suf[ci], len(suf))
+        columns.append({c: j for j, c in enumerate(C)})
+        out.append((int(cnt.min()), int(cnt.max())))
+    return out
+
+
+def _interval(u, n, extremes):
+    lo, hi = extremes
+    return FrequencyInterval(u=u, n=n, a=Fraction(lo, 2 ** n),
+                             b=Fraction(hi, 2 ** n))
+
+
 def frequency_interval(levels, u, n):
     """Exact I_n = [min, max] of phi_u over W(n)."""
     if not (0 <= n <= levels.deepest):
@@ -190,22 +263,20 @@ def frequency_interval(levels, u, n):
         raise ValueError("|u| must be <= 2^n")
     if len(u) == 0:
         raise ValueError("empty pattern")
-    counts = [count_occurrences(u, w) for w in levels.W(n)]
-    denom = 2 ** n
-    return FrequencyInterval(u=u, n=n,
-                             a=Fraction(min(counts), denom),
-                             b=Fraction(max(counts), denom))
+    return _interval(u, n, _count_extremes(levels, u, n)[n])
 
 
 def interval_rows(levels, u, n_max=None):
-    """(n, a_n, b_n, Delta_n) rows for every built level, exact rationals."""
+    """(n, a_n, b_n, Delta_n) rows for every built level, exact rationals,
+    all levels from one pass of the recursion."""
     n_lo = 0
     while 2 ** n_lo < len(u):
         n_lo += 1
     n_hi = levels.deepest if n_max is None else min(n_max, levels.deepest)
+    ext = _count_extremes(levels, u, n_hi)
     return [(n, iv.a, iv.b, iv.delta)
             for n in range(n_lo, n_hi + 1)
-            for iv in [frequency_interval(levels, u, n)]]
+            for iv in [_interval(u, n, ext[n])]]
 
 
 def verify_interval_nesting(levels, u):
@@ -257,7 +328,8 @@ def _prefix_blocks(v, Wsets):
     while v:
         m = len(v).bit_length() - 1          # 2^m <= |v|
         head, v = v[:2 ** m], v[2 ** m:]
-        assert head in Wsets[m], "prefix block is not in W(%d)" % m
+        if head not in Wsets[m]:
+            raise AssertionError("prefix block is not in W(%d)" % m)
         blocks.append((m, head))
     return blocks
 
@@ -272,7 +344,8 @@ def _suffix_blocks(v, Wsets):
             break
         t = (L - 1).bit_length()             # 2^{t-1} < |v| <= 2^t
         tail = v[-(2 ** (t - 1)):]
-        assert tail in Wsets[t - 1], "suffix block is not in W(%d)" % (t - 1)
+        if tail not in Wsets[t - 1]:
+            raise AssertionError("suffix block is not in W(%d)" % (t - 1))
         out.append((t - 1, tail))
         v = v[:-(2 ** (t - 1))]
     return out[::-1]
@@ -283,7 +356,7 @@ def decompose_factor(levels, v):
     n_1 < ... < n_r and m_1 > ... > m_s, via the binary-expansion procedure."""
     if not v:
         raise ValueError("empty factor")
-    Wsets = [frozenset(lv.W) for lv in levels.levels]
+    Wsets = levels.Wsets
     t = host = None
     for k, lv in enumerate(levels.levels):
         if 2 ** k < len(v):
@@ -303,19 +376,23 @@ def decompose_factor(levels, v):
         # t >= 1 and, by minimality of t, every occurrence straddles the middle
         h = 2 ** (t - 1)
         i = host.find(v)
-        assert i < h < i + len(v), "occurrence does not straddle the middle"
+        if not i < h < i + len(v):
+            raise AssertionError("occurrence does not straddle the middle")
         inc = _suffix_blocks(v[:h - i], Wsets)
         dec = _prefix_blocks(v[h - i:], Wsets)
     blocks = inc + dec
     # validation
-    assert "".join(w for _, w in blocks) == v
+    if "".join(w for _, w in blocks) != v:
+        raise AssertionError("blocks do not spell the factor")
     inc_levels = [m for m, _ in inc]
     dec_levels = [m for m, _ in dec]
-    assert inc_levels == sorted(inc_levels) and len(set(inc_levels)) == len(inc_levels)
-    assert dec_levels == sorted(dec_levels, reverse=True) \
-        and len(set(dec_levels)) == len(dec_levels)
+    if inc_levels != sorted(set(inc_levels)):
+        raise AssertionError("u-block levels are not increasing")
+    if dec_levels != sorted(set(dec_levels), reverse=True):
+        raise AssertionError("w-block levels are not decreasing")
     for m, w in blocks:
-        assert w in Wsets[m], "block is not a W(%d) member" % m
+        if w not in Wsets[m]:
+            raise AssertionError("block is not a W(%d) member" % m)
     return {"v": v, "blocks": blocks, "r": len(inc), "s": len(dec),
             "minimal_level": t}
 
@@ -343,7 +420,9 @@ def language_complexity(levels, n, depth=None):
         return len(seen)
 
     deep, shallow = count(depth), count(depth - 1)
-    assert deep >= shallow
+    if deep < shallow:
+        raise AssertionError("level %d has fewer length-%d factors than level %d"
+                             % (depth, n, depth - 1))
     return {"n": n, "count": deep, "depth": depth,
             "label": "stabilized" if deep == shallow else "lower bound"}
 
@@ -368,7 +447,8 @@ def verify_sandwich(levels, k_max=None):
         upper = p is None or p <= 2 ** k * sizes["W_k1"]
         report[k] = {"f_2k": f(2 ** k), "p_built": p, **sizes,
                      "lower_ok": bool(lower), "count_ok": bool(mid and upper)}
-        assert lower and mid and upper, "sandwich fails at k=%d" % k
+        if not (lower and mid and upper):
+            raise AssertionError("sandwich fails at k=%d" % k)
     return report
 
 

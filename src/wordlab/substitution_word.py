@@ -216,10 +216,11 @@ def build_substitution_levels(params, K=None):
     levels = SubstLevels(params=params, n=n, N=N, Nt=Nt,
                          alpha=alpha, beta=beta, K=K, j1=j1)
     for k in range(K + 1):
-        assert len(levels.alpha[k]) == N[k] == len(levels.beta[k])
-        if k >= 1:
-            assert Nt[k] == 3 * (n[k] - 1) * N[k - 1]
-            assert N[k] <= 2 * Nt[k] <= 2 * N[k]
+        if not len(levels.alpha[k]) == N[k] == len(levels.beta[k]):
+            raise AssertionError("alpha_%d or beta_%d is not N_%d long" % (k, k, k))
+        if k >= 1 and not (Nt[k] == 3 * (n[k] - 1) * N[k - 1]
+                           and N[k] <= 2 * Nt[k] <= 2 * N[k]):
+            raise AssertionError("Ntilde_%d is off its closed form" % k)
     return levels
 
 
@@ -237,8 +238,10 @@ def densities(levels, k):
     a_in_beta = Fraction(count_occurrences("a", levels.beta[k]), levels.N[k])
     closed_alpha = Fraction(3**k + 1, 2 * 3**k)
     closed_beta = Fraction(3**k - 1, 2 * 3**k)
-    assert a_in_alpha == closed_alpha, "phi_a(alpha_%d) != (1+3^-%d)/2" % (k, k)
-    assert a_in_beta == closed_beta, "phi_a(beta_%d) != (1-3^-%d)/2" % (k, k)
+    if a_in_alpha != closed_alpha:
+        raise AssertionError("phi_a(alpha_%d) != (1+3^-%d)/2" % (k, k))
+    if a_in_beta != closed_beta:
+        raise AssertionError("phi_a(beta_%d) != (1-3^-%d)/2" % (k, k))
     return {
         "phi_a_alpha": a_in_alpha,
         "phi_b_alpha": 1 - a_in_alpha,
@@ -261,7 +264,9 @@ def beta_cubed_positions(levels, k):
     ):
         pos = [i + 1 for i in occurrence_positions(cube, host)]
         for i in pos:
-            assert lo <= i <= hi, "%s occurrence at %d outside [%d,%d]" % (name, i, lo, hi)
+            if not lo <= i <= hi:
+                raise AssertionError("%s occurrence at %d outside [%d,%d]"
+                                     % (name, i, lo, hi))
         out[name] = {"positions": pos, "window": (lo, hi)}
     return out
 
@@ -354,7 +359,9 @@ def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
         ok = all(sliding_containment_scan(h, need, pats).ok
                  for h in (levels.AB(m), levels.BA(m)))
         every7[k] = ok
-        assert ok, "a length-%d factor misses alpha_%d beta_%d or its mirror" % (need, k, k)
+        if not ok:
+            raise AssertionError("a length-%d factor misses alpha_%d beta_%d "
+                                 "or its mirror" % (need, k, k))
     report["every_7Nk_contains_both_masters"] = every7
 
     aper = {}
@@ -362,8 +369,8 @@ def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
         pa = min_period(levels.AB(k), levels.Nt[k])
         pb = min_period(levels.BA(k), levels.Nt[k])
         aper[k] = (pa, pb)
-        assert pa is None and pb is None, \
-            "period <= Ntilde_%d found in a master word" % k
+        if not (pa is None and pb is None):
+            raise AssertionError("period <= Ntilde_%d found in a master word" % k)
     report["aperiodic_up_to_Ntilde"] = aper
 
     if p_max is None:
@@ -377,7 +384,8 @@ def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
             p_ok = False
         if n >= levels.Nt[1] and not (p <= 14 * n):
             p_ok = False
-    assert p_ok, "complexity bounds n+1 <= p(n) <= 14n violated"
+    if not p_ok:
+        raise AssertionError("complexity bounds n+1 <= p(n) <= 14n violated")
     report["p_bounds_ok"] = True
     report["p_max_checked"] = p_max
 

@@ -95,7 +95,8 @@ def build_xk_levels(params):
                 enum = parent.words     # already sorted: lexicographic enumeration
                 s = len(enum)
                 words = sorted(enum[i] + zeros + enum[(i + 1) % s] for i in range(s))
-            assert len(set(words)) == s_m, "level %d word count != s_%d" % (m, m)
+            if len(set(words)) != s_m:
+                raise AssertionError("level %d word count != s_%d" % (m, m))
         levels.append(XkLevel(k=m, n=n_m, s=s_m, phase=phase, words=words))
     return levels
 
@@ -223,7 +224,8 @@ def verify_xk_structure(oracle, k_max=None):
         lv = oracle.level(k)
         ok = all(wd[0] in "12" and wd[-1] in "12" for wd in lv.words)
         report["boundary_letters"][k] = ok
-        assert ok, "level %d word with 0 at the boundary" % k
+        if not ok:
+            raise AssertionError("level %d word with 0 at the boundary" % k)
     for k in range(1, min(k_max, oracle.E - 1) + 1):
         lv, nxt = oracle.level(k), oracle.level(k + 1)
         zeros = "0" * lv.n
@@ -232,7 +234,8 @@ def verify_xk_structure(oracle, k_max=None):
         ok = all((wd + zeros) in prefixes and (zeros + wd) in suffixes
                  for wd in lv.words)
         report["extension"][k] = ok
-        assert ok, "extension fact fails at level %d" % k
+        if not ok:
+            raise AssertionError("extension fact fails at level %d" % k)
     for k in range(2, min(k_max, oracle.E) + 1):
         lv = oracle.level(k)
         for d in range(1, k):
@@ -240,7 +243,9 @@ def verify_xk_structure(oracle, k_max=None):
             dset = set(oracle.level(d).words)
             ok = all(wd[:nd] in dset and wd[-nd:] in dset for wd in lv.words)
             report["pushdown"].setdefault(k, {})[d] = ok
-            assert ok, "pushdown fails: level %d prefixes at depth %d" % (k, d)
+            if not ok:
+                raise AssertionError("pushdown fails: level %d prefixes at depth %d"
+                                     % (k, d))
     return report
 
 

@@ -197,18 +197,50 @@ def test_failure_serializes_witness(capsys, monkeypatch):
     assert json.loads(err)["witness"] == {"failed_assertion": "synthetic failed check"}
 
 
+
+def test_failed_checks_exit_1_in_densities_and_structure(capsys, monkeypatch):
+    import dataclasses
+
+    import wordlab.substitution_word as sw
+    import wordlab.xk_words as xw
+
+    monkeypatch.setattr(sw, "count_occurrences", lambda pattern, host: 0)
+    code, out, err = run(capsys, "subst", "--gamma", "2", "densities")
+    assert code == 1 and out == ""
+    assert json.loads(err)["witness"] == {
+        "failed_assertion": "phi_a(alpha_0) != (1+3^-0)/2"}
+
+    real = xw.XkOracle.level
+
+    def zero_led(self, k):
+        lv = real(self, k)
+        return dataclasses.replace(lv, words=["0" + w for w in lv.words]) \
+            if k == 2 else lv
+
+    monkeypatch.setattr(xw.XkOracle, "level", zero_led)
+    code, out, err = run(capsys, "xk", "--max-level", "4", "verify-structure")
+    assert code == 1 and out == ""
+    assert json.loads(err)["witness"] == {
+        "failed_assertion": "level 2 word with 0 at the boundary"}
+
 # sha256 of stdout recorded before substitution-language queries moved to
-# the junction windows; any change to these report bytes is a regression
+# the junction windows, and before the ergodic intervals moved to the level
+# recursion; any change to these report bytes is a regression
 PINNED_STDOUT = [
     (("algebra", "decompose-identity", "--l", "1"),
      "d0c1d7cbc3532c0056e39fb9f3634e543a061ba2f918aa0204c6a47924f8f4ac"),
     (("subst", "--gamma", "2", "complexity", "--n", "1..1188", "--format", "csv"),
      "74f80d9b7ac1329f75249f063c3ca519f7b744da6dd0a8e4d1a4670f272fbc71"),
+    (("ergodic", "intervals", "--u", "ab", "--format", "csv"),
+     "d5963a910c268dcf58ef5bf7fd018c356deb1f90941c89b0b5feca352f39376b"),
+    (("ergodic", "intervals", "--u", "a", "--format", "csv"),
+     "fd53c1282bbe2df974bcef83a9c8dbb3fe5e731114f11a1a623b6f2014addaa8"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
-                         ids=["decompose-identity-l1", "complexity-1188"])
+                         ids=["decompose-identity-l1", "complexity-1188",
+                              "ergodic-intervals-ab", "ergodic-intervals-a"])
 def test_pinned_stdout_bytes(capsys, argv, digest):
     import hashlib
     code, out, _ = run(capsys, *argv)

@@ -1,7 +1,10 @@
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wordlab.ergodic_subshift import (
@@ -15,10 +18,12 @@ from wordlab.ergodic_subshift import (
     verify_frequency_deviation,
     verify_interval_nesting,
     verify_sandwich,
+    _count_extremes,
     _prefix_blocks,
     _suffix_blocks,
 )
 from wordlab.growth_functions import GrowthTable
+from wordlab.words_core import count_occurrences
 
 
 def ceil_sqrt(n):
@@ -171,6 +176,16 @@ def test_prefix_blocks_binary_expansion(levels):
     assert [m for m, _ in blocks] == [0, 2]
 
 
+def test_word_sets_built_once_on_first_use(params):
+    lv = build_ergodic_levels(params)
+    assert "Wsets" not in vars(lv)          # nothing extra at set-up
+    decompose_factor(lv, lv.W(3)[5][1:])
+    sets = lv.Wsets
+    decompose_factor(lv, lv.W(4)[7][3:11])
+    assert lv.Wsets is sets
+    assert sets == [frozenset(l.W) for l in lv.levels]
+
+
 def test_decompose_random_windows(levels):
     rng = random.Random(0)
     for _ in range(300):
@@ -206,3 +221,96 @@ def test_frequency_deviation(levels):
         assert rep["pass"], rep
     with pytest.raises(ValueError):
         verify_frequency_deviation(levels, "a", levels.deepest)
+
+
+# ---------------------------------------------------------------------------
+# the level recursion for Phi_u against direct counts over every word
+
+SHORT = ["".join(x) for L in range(1, 6) for x in itertools.product("ab", repeat=L)]
+
+
+def _short_extremes(words, chunk=1024):
+    """(min, max) over words of the occurrence counts of every u in SHORT,
+    counted directly in one numpy pass.  Each word gets cccc appended, and
+    each start position the base-3 code (a=0, b=1, c=2) of the five letters
+    from it; u occurs there iff the code's leading |u| digits spell u, a
+    range of codes.  (count_occurrences would make 32M find calls for u = a
+    over W(8).)"""
+    digit = np.zeros(256, dtype=np.int32)
+    digit[ord("b")], digit[ord("c")] = 1, 2
+    width = len(words[0])
+    lo, hi = {}, {}
+    for s in range(0, len(words), chunk):
+        part = words[s:s + chunk]
+        text = np.frombuffer("".join(w + "cccc" for w in part).encode(), np.uint8)
+        d = digit[text].reshape(len(part), width + 4)
+        code = np.zeros((len(part), width), dtype=np.int32)
+        for j in range(5):
+            code = 3 * code + d[:, j:j + width]
+        code += 243 * np.arange(len(part), dtype=np.int32)[:, None]
+        cum = np.zeros((len(part), 244), dtype=np.int64)
+        cum[:, 1:] = np.bincount(code.ravel(), minlength=243 * len(part)) \
+            .reshape(len(part), 243).cumsum(axis=1)
+        for u in SHORT:
+            span = 3 ** (5 - len(u))
+            first = int(u.replace("a", "0").replace("b", "1"), 3) * span
+            counts = cum[:, first + span] - cum[:, first]
+            lo[u] = min(lo.get(u, width), int(counts.min()))
+            hi[u] = max(hi.get(u, 0), int(counts.max()))
+    return {u: (lo[u], hi[u]) for u in SHORT}
+
+
+@pytest.mark.parametrize("family", ["lexicographic", "seeded-random", "const-2"])
+def test_count_recursion_matches_direct_counts(params, levels, family):
+    lv = levels
+    if family == "seeded-random":
+        lv = build_ergodic_levels(ErgodicParams(
+            f=params.f, max_level=8, choice_policy="seeded-random", seed=11))
+    elif family == "const-2":
+        lv = build_ergodic_levels(ErgodicParams(
+            f=GrowthTable.from_function(lambda n: 2, 1024), max_level=8))
+    assert lv.alphabet == "ab" and lv.deepest == 8
+    rec = {u: _count_extremes(lv, u, 8) for u in SHORT}
+    for k in range(9):
+        direct = _short_extremes(lv.W(k))
+        assert {u: rec[u][k] for u in SHORT} == direct, (family, k)
+    # lengths whose d - 1 exceeds 2^k at shallow levels (9, 17) or equals a
+    # word length (2^m), cut from a level-7 word, and letters outside {a, b};
+    # checked through level 7, where count_occurrences stays cheap
+    rng = random.Random(5)
+    longs = ["c", "abcab"]
+    for d in [9, 17] + [2 ** m for m in range(3, 8)]:
+        w = rng.choice(lv.W(7))
+        i = rng.randrange(len(w) - d + 1)
+        longs.append(w[i:i + d])
+    for u in longs:
+        direct = [(min(c), max(c)) for k in range(8)
+                  for c in [[count_occurrences(u, w) for w in lv.W(k)]]]
+        assert _count_extremes(lv, u, 7) == direct, (family, u)
+
+
+# a decomposition through a level whose word "ba" was corrupted to "bb";
+# run under python -O, where an assert would be stripped
+_CORRUPTED_LEVEL = """
+import sys
+from wordlab import cli, ergodic_subshift as es
+
+real = es.build_ergodic_levels
+
+def corrupted(params):
+    levels = real(params)
+    levels.levels[1].W = ["aa", "bb"]
+    return levels
+
+es.build_ergodic_levels = corrupted
+sys.exit(cli.parse_and_dispatch(["ergodic", "--max-level", "4", "decompose",
+                                 "--word", "abaaaba"]))
+"""
+
+
+def test_corrupted_level_fails_under_python_O(run_python_O):
+    proc = run_python_O(_CORRUPTED_LEVEL)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    doc = json.loads(proc.stderr)
+    assert doc["witness"] == {"failed_assertion": "suffix block is not in W(1)"}

@@ -1,12 +1,7 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import pytest
-
-import wordlab
 
 from wordlab.growth_functions import (
     GrowthTable,
@@ -150,12 +145,8 @@ sys.exit(cli.parse_and_dispatch(["growth", "--n-max", "1000", "check"]))
 """
 
 
-def test_verify_witness_fails_under_python_O():
-    env = dict(os.environ)
-    env.pop("PYTHONOPTIMIZE", None)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(wordlab.__file__))
-    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_CHECK],
-                          env=env, capture_output=True, text=True, timeout=120)
+def test_verify_witness_fails_under_python_O(run_python_O):
+    proc = run_python_O(_CORRUPTED_CHECK)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == "direct: f(n) != f(n-1) + 1 at n=100\n"
     doc = json.loads(proc.stderr)

@@ -1,13 +1,8 @@
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
-
-import wordlab
 
 from wordlab.substitution_word import (
     SubstParams,
@@ -231,18 +226,34 @@ sys.exit(cli.parse_and_dispatch(["subst", "--gamma", "2", "recurrence", "--n", "
 """
 
 
-def test_recurrence_cross_check_fails_under_python_O():
-    env = dict(os.environ)
-    env.pop("PYTHONOPTIMIZE", None)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(wordlab.__file__))
-    proc = subprocess.run([sys.executable, "-O", "-c", _DISAGREEING_CROSS_CHECK],
-                          env=env, capture_output=True, text=True, timeout=120)
+def test_recurrence_cross_check_fails_under_python_O(run_python_O):
+    proc = run_python_O(_DISAGREEING_CROSS_CHECK)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     doc = json.loads(proc.stderr)
     assert doc["witness"] == {
         "failed_assertion": "binary search 18 disagrees with closed form 197"}
 
+
+
+# a master word that min_period calls periodic must fail `subst verify`; run
+# under python -O, where an assert would be stripped and the report pass
+_PERIODIC_MASTER = """
+import sys
+from wordlab import cli, substitution_word as sw
+
+sw.min_period = lambda word, d_max=None: 1
+sys.exit(cli.parse_and_dispatch(["subst", "--gamma", "2", "verify", "--k-max", "1"]))
+"""
+
+
+def test_periodic_master_fails_under_python_O(run_python_O):
+    proc = run_python_O(_PERIODIC_MASTER)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    doc = json.loads(proc.stderr)
+    assert doc["witness"] == {
+        "failed_assertion": "period <= Ntilde_1 found in a master word"}
 
 def test_aperiodicity(lv):
     for k in (1, 2):
