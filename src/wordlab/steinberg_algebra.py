@@ -131,7 +131,8 @@ class AlgebraElement:
         return n
 
     def __add__(self, other):
-        assert self.lang is other.lang and self.char == other.char
+        if not (self.lang is other.lang and self.char == other.char):
+            raise AssertionError("mixed algebras")
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = self._c(out.get(key, 0) + c)
@@ -214,7 +215,8 @@ def _term_mul(lang, t1, t2):
 
 def convolve(f, g, canonical=True):
     """Bilinear extension of the basis rule; canonicalized by default."""
-    assert f.lang is g.lang and f.char == g.char, "mixed algebras"
+    if not (f.lang is g.lang and f.char == g.char):
+        raise AssertionError("mixed algebras")
     out = {}
     for t1, c1 in f.terms.items():
         for t2, c2 in g.terms.items():
@@ -415,7 +417,8 @@ def witness_product(f, l=None):
                 break
         if found:
             break
-    assert found is not None, "nonzero element with no nonzero value"
+    if found is None:
+        raise AssertionError("nonzero element with no nonzero value")
     k, v, A, total = found
 
     # extend the sample to [-n, n] and embed it in the master word
@@ -429,16 +432,20 @@ def witness_product(f, l=None):
         AB = levels.BA(l + 1)
         host = "BA"
         pos = AB.find(xi_win)
-    assert pos >= 0, "xi[-n, n] does not factor the level-%d masters" % (l + 1)
+    if pos < 0:
+        raise AssertionError("xi[-n, n] does not factor the level-%d masters"
+                             % (l + 1))
     p, q = pos, len(AB) - (2 * n + 1) - pos
     w_lo = -n - p
     W_term = (0, w_lo, AB)
 
     # (i) every matched term contains W; (ii) unmatched terms are excluded
     for (d, lo, pat) in A:
-        assert d == k
+        if d != k:
+            raise AssertionError("matched term of degree %d, not %d" % (d, k))
         for i, ch in enumerate(pat):
-            assert AB[lo + i - w_lo] == ch, "condition (i) fails"
+            if AB[lo + i - w_lo] != ch:
+                raise AssertionError("condition (i) fails")
     cond2 = True
     for (d, lo, pat) in f.terms:
         if (d, lo, pat) in A:
@@ -447,17 +454,19 @@ def witness_product(f, l=None):
             continue
         clash = any(AB[lo + i - w_lo] != ch for i, ch in enumerate(pat))
         cond2 = cond2 and clash
-    assert cond2, "condition (ii) fails"
+    if not cond2:
+        raise AssertionError("condition (ii) fails")
     # (iii) W cap T^d(W) = empty for 0 < |d| <= 2n via aperiodicity
-    if n >= 1:
-        assert min_period(AB, 2 * n) is None, "condition (iii) fails"
+    if n >= 1 and min_period(AB, 2 * n) is not None:
+        raise AssertionError("condition (iii) fails")
 
     left = AlgebraElement(lang, {(-k, w_lo - k, AB): 1}, f.char)
     right = AlgebraElement(lang, {W_term: 1}, f.char)
     lhs = convolve(convolve(left, f, canonical=False), right, canonical=False)
     rhs = total * AlgebraElement(lang, {W_term: 1}, f.char)
     ok = canonicalize(lhs).terms == canonicalize(rhs).terms
-    assert ok, "witness product does not collapse to (sum alpha_i) 1_W"
+    if not ok:
+        raise AssertionError("witness product does not collapse to (sum alpha_i) 1_W")
     num = total if f.char else str(total)
     return {"k": k, "n": n, "l": l, "host": host, "p": p, "q": q,
             "matched_terms": len(A), "sum_alpha": num,
@@ -493,7 +502,8 @@ def verify_unit_decomposition(lang, l):
             raise AssertionError("length-%d factor without the masters: %r"
                                  % (7 * N, u[:40]))
         t_u = 7 * N - e_u - 2 * N
-        assert e_u + t_u == 5 * N
+        if e_u + t_u != 5 * N:
+            raise AssertionError("e_u + t_u = %d, not 5 N" % (e_u + t_u))
         eta, theta = u[:e_u], u[e_u + 2 * N:]
         chain = []
         if eta:
@@ -506,15 +516,19 @@ def verify_unit_decomposition(lang, l):
         chain.append(AlgebraElement(lang, {(e_u + 2 * N, 0, ""): 1}))
         prod = convolve_many(chain, canonical=False)
         expect = {(0, 0, u): prod._c(1)}
-        assert prod.terms == expect, "chain does not reproduce I_u"
+        if prod.terms != expect:
+            raise AssertionError("chain does not reproduce I_u")
         for key, c in prod.terms.items():
             total[key] = total.get(key, 0) + c
         max_left = max(max_left, n + p + 2 * e_u)
         max_right = max(max_right, (n + q + 1) + t_u + e_u + 2 * N)
-    assert max_left <= 12 * N and max_right <= 9 * N
+    if not (max_left <= 12 * N and max_right <= 9 * N):
+        raise AssertionError("filtration degrees %d, %d exceed 12 N, 9 N"
+                             % (max_left, max_right))
     total = canonicalize(AlgebraElement(lang, total))
     ok = total.terms == one.terms
-    assert ok, "sum of I_u terms does not canonicalize to 1"
+    if not ok:
+        raise AssertionError("sum of I_u terms does not canonicalize to 1")
     c_measured = max(-(-max_left // N), -(-max_right // N))
     return {"l": l, "N_l1": N, "terms": len(words), "n": n, "p": p, "q": q,
             "max_left_degree": max_left, "left_bound_12N": 12 * N,
@@ -566,9 +580,11 @@ def ret_bracket_report(lang, n, l=None, seed=0):
                 else levels.BA(cert["host_level"]))
         v = host[cert["failing_window"]:cert["failing_window"] + R - 1]
         u = cert["missing_pattern"]
-        assert u not in v and len(u) == n
+        if u in v or len(u) != n:
+            raise AssertionError("witness u occurs in v or is not of length %d" % n)
         v = v[:2 * s + n]
-        assert u not in v
+        if u in v:
+            raise AssertionError("witness u occurs in the trimmed v")
         # sampled type-(*) products 1_{{d} x Z} * a * 1_{{d'} x Z'} vanish
         # at (0, x) for any x extending the sample v on [-s, s+n-1]
         a = AlgebraElement(lang, {(0, 0, u): 1})
@@ -587,7 +603,8 @@ def ret_bracket_report(lang, n, l=None, seed=0):
         report["witness_u"] = u
         report["witness_v_len"] = len(v)
         report["type_star_vanish"] = bool(vanish)
-        assert vanish
+        if not vanish:
+            raise AssertionError("a sampled type-(*) product does not vanish on v")
     gamma = levels.params.gamma
     if gamma is None:
         raise ValueError("ret_bracket_report needs gamma-driven levels")

@@ -189,7 +189,8 @@ class SubstLevels:
                 # large level: keep the sort depth close to what is asked for
                 cap = min(cap, max(4096, 1 << (need - 1).bit_length()))
             host = "|".join(self.junction(k, cap))
-            cached = WindowCensus(host, cap, separators="|")
+            cached = WindowCensus(host, cap, separators="|",
+                                  max_bytes=self.params.max_bytes)
             self._census[k] = cached
         return cached
 
@@ -294,7 +295,8 @@ def recurrence_function(levels, n, cross_check=None):
     hosts = [("AB", levels.AB(m)), ("BA", levels.BA(m))]
     rec = 0
     for name, host in hosts:
-        occ = {host[b[0]:b[0] + n]: b for b in WindowCensus(host, n).blocks(n)}
+        census = WindowCensus(host, n, max_bytes=levels.params.max_bytes)
+        occ = {host[b[0]:b[0] + n]: b for b in census.blocks(n)}
         for p in patterns:
             if p not in occ:
                 raise AssertionError("a length-%d factor is missing from %s_%d: %r"

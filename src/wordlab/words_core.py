@@ -7,10 +7,10 @@
 #   all frequencies are exact rationals (fractions.Fraction)
 #
 # One exact counting backend lives here: a sorted-window census (suffix
-# sorting, numpy) that gives, for every length n <= cap, the number of
-# distinct windows and the ascending occurrence positions of each.  Exact
-# sets of factor strings serve small hosts; the byte budget is checked
-# before they are built.
+# sorting by prefix doubling from packed letter codes, numpy) that gives,
+# for every length n <= cap, the number of distinct windows and the
+# ascending occurrence positions of each.  Exact sets of factor strings
+# serve small hosts.  Both check the byte budget before they allocate.
 
 import os
 from dataclasses import dataclass, field
@@ -249,17 +249,47 @@ def naive_containment(host, K, patterns):
 #     count(n) = #{ i : lcp[i] < n <= vlen[i] }
 # with lcp[i] the (capped) common prefix of sa[i-1], sa[i] (lcp[0] = -1) and
 # vlen[i] the separator-free run length starting at sa[i], capped at cap.
+#
+# The sort is Manber-Myers prefix doubling started from packed codes: the
+# host's sigma letters are coded 1..sigma in letter order, 0 past the end, in
+# b = sigma.bit_length() bits, so each position's next m = min(cap, 64 // b)
+# letters fit one uint64 (m = 32 for three letters).  One stable sort of
+# those codes ranks every m-letter window, so doubling starts at k = m, not
+# at k = 1, and runs while k < cap.  The rank levels k = m 2^j <= cap are
+# kept for the lcp, which descends them in steps m 2^j and then reads the
+# remaining fewer-than-m common letters off the packed codes.
+
+# work arrays of 8 bytes a host position alive next to the rank levels at
+# the build's peak, a sort round: the packed codes, the sort key, the order,
+# and the sort's buffer with the int32 dense-rank buffer; one more covers the
+# encoded host and the lcp pass's chunk temporaries
+_CENSUS_WORK_ARRAYS = 5
+
+
+def _pack_windows(codes, m, bits):
+    """uint64 array whose entry i holds codes[i .. i+m-1], first letter in
+    the high bits, for i = 0 .. len(codes) - m.  Each shift-OR widens the
+    windows from w to min(2w, m) letters; when m is not a power of two the
+    last step overlaps, and the overlapping bits hold the same letters."""
+    packed, w = codes, 1
+    while w < m:
+        s = min(w, m - w)
+        packed = (packed[:-s] << np.uint64(bits * s)) | packed[s:]
+        w += s
+    return packed
 
 
 class WindowCensus:
 
-    def __init__(self, host, cap, separators=""):
+    def __init__(self, host, cap, separators="", max_bytes=None):
         if cap <= 0:
             raise ValueError("cap must be positive")
+        if not host:
+            raise ValueError("empty host")
         self.host = host
         self.cap = cap
         self.separators = separators
-        sa, lcp, vlen = self._build_numpy(host, cap, separators)
+        sa, lcp, vlen = self._build_numpy(host, cap, separators, max_bytes)
         self.sa = sa
         self.lcp = lcp
         self.vlen = vlen
@@ -299,55 +329,92 @@ class WindowCensus:
         return np.split(key, np.flatnonzero(np.diff(bid)) + 1)
 
     @staticmethod
-    def _build_numpy(host, cap, separators):
+    def _build_numpy(host, cap, separators, max_bytes):
         arr = np.frombuffer(host.encode("latin1"), dtype=np.uint8)
         L = len(arr)
         pad = cap + 1
-        # per-level rank arrays; padding positions get unique negative ranks
-        # so any comparison against them fails
-        def with_pad(core):
+        lut = np.zeros(256, dtype=np.uint64)
+        seen = np.zeros(256, dtype=bool)
+        seen[arr] = True
+        sigma = int(np.count_nonzero(seen))
+        lut[seen] = np.arange(1, sigma + 1, dtype=np.uint64)
+        bits = sigma.bit_length()
+        m = min(cap, 64 // bits)
+        n_levels = (cap // m).bit_length()      # rank levels k = m 2^j <= cap
+        need = n_levels * (L + pad) * 4 + _CENSUS_WORK_ARRAYS * L * 8
+        budget = max_bytes_budget(max_bytes)
+        if need > budget:
+            raise ValueError("budget: census of %d chars at cap %d needs about "
+                             "%d bytes > %d" % (L, cap, need, budget))
+
+        codes = np.zeros(L + m, dtype=np.uint64)
+        codes[:L] = lut[arr]
+        packed = _pack_windows(codes, m, bits)  # L + 1 entries, packed[L] = 0
+        del codes
+        dense = np.empty(L, dtype=np.int32)
+        # sorted neighbours are compared a chunk at a time, a sixteenth of
+        # the host, so the temporaries stay small beside the rank levels
+        chunk = max(L >> 4, 4096)
+
+        def ranks(order, key):
+            # the level's rank array: dense ranks of key, then unique
+            # negative ranks past the end, so comparisons there fail; the
+            # sorted keys are read a chunk at a time
+            dense[:1] = 0
+            for lo in range(0, L - 1, chunk):
+                skey = key[order[lo:lo + chunk + 1]]
+                np.not_equal(skey[1:], skey[:-1], out=dense[lo + 1:lo + len(skey)])
+            np.cumsum(dense, out=dense)
             r = np.empty(L + pad, dtype=np.int32)
-            r[:L] = core
+            r[order] = dense
             r[L:] = -np.arange(1, pad + 1, dtype=np.int32)
             return r
 
-        rank = with_pad(arr.astype(np.int32))
-        levels = [rank]
-        k = 1
-        order = np.argsort(rank[:L], kind="stable")
+        # level 0 ranks the m-letter windows; the end code 0 sorts below
+        # every letter, as the negative padding ranks do
+        order = np.argsort(packed[:L], kind="stable")
+        levels = [ranks(order, packed)]
+        k = m
         while k < cap:
-            key = ((rank[:L].astype(np.int64) + pad) << np.int64(33)) \
-                | (rank[k:L + k].astype(np.int64) + pad)
-            order = np.argsort(key)
-            skey = key[order]
-            newr = np.empty(L, dtype=np.int32)
-            newr[order] = np.cumsum(np.concatenate(([0], (np.diff(skey) != 0).astype(np.int32))), dtype=np.int32)
-            del key, skey
-            rank = with_pad(newr)
-            levels.append(rank)
+            key = levels[-1][:L].astype(np.int64)
+            key += pad
+            key <<= np.int64(33)
+            key += levels[-1][k:L + k]
+            key += pad
+            del order
+            order = np.argsort(key, kind="stable")
             k <<= 1
-        sa = order.astype(np.int64)
-        # capped lcp of adjacent sorted suffixes via the level ranks
-        x = sa[1:]
-        y = sa[:-1]
-        h = np.zeros(L - 1, dtype=np.int64)
-        for j in range(len(levels) - 1, -1, -1):
-            step = 1 << j
-            if step > cap:
-                continue
-            lev = levels[j]
-            can = h + step <= cap
-            eq = can & (lev[x + h] == lev[y + h])
-            h = h + np.where(eq, step, 0)
-        del levels
-        lcp = np.zeros(L, dtype=np.int64)
-        lcp[1:] = np.minimum(h, cap)
+            if k <= cap:
+                levels.append(ranks(order, key))
+            del key
+        del dense
+        sa = order
+        # capped lcp of adjacent sorted suffixes, a chunk of pairs at a time:
+        # descend the rank levels in steps m 2^j (a step past cap only
+        # overshoots an lcp that is capped anyway), then read the common
+        # leading letters (fewer than m) off the packed codes, where the
+        # first differing letter t sits in bits [b(m-1-t), b(m-t)); equal
+        # codes give top = -1, so m letters; packed[L] = 0 stops a window at
+        # the host end
+        pow2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        lcp = np.zeros(L, dtype=np.int32)
+        for lo in range(1, L, chunk):
+            x = sa[lo:lo + chunk]
+            y = sa[lo - 1:lo - 1 + len(x)]
+            h = np.zeros(len(x), dtype=np.int64)
+            for j in range(n_levels - 1, -1, -1):
+                eq = levels[j][x + h] == levels[j][y + h]
+                np.add(h, m << j, out=h, where=eq)
+            top = np.searchsorted(pow2, packed[x + h] ^ packed[y + h], side="right") - 1
+            h += m - 1 - top // bits
+            lcp[lo:lo + len(x)] = np.minimum(h, cap)
+        del levels, packed
         if separators:
             sep_pos = np.flatnonzero(np.isin(arr, np.frombuffer(separators.encode("latin1"), dtype=np.uint8)))
             sep_pos = np.concatenate((sep_pos, [L]))
-            nxt = sep_pos[np.searchsorted(sep_pos, np.arange(L), side="left")]
-            vlen_all = nxt - np.arange(L)
+            vlen = sep_pos[np.searchsorted(sep_pos, sa, side="left")]
+            vlen -= sa
         else:
-            vlen_all = L - np.arange(L)
-        vlen = np.minimum(vlen_all, cap)[sa]
-        return sa, lcp, vlen
+            vlen = L - sa
+        np.minimum(vlen, cap, out=vlen)
+        return sa, lcp, vlen.astype(np.int32)

@@ -25,7 +25,8 @@ from .words_core import WindowCensus, factor_set, max_bytes_budget
 
 # certified rational lower bound for alpha = log 4 / log 3: 3^29 < 4^23
 _ALPHA_LO = (29, 23)
-assert 3**29 < 4**23
+if not 3**29 < 4**23:
+    raise AssertionError("3^29 < 4^23 fails")
 
 
 @dataclass
@@ -158,7 +159,8 @@ class XkOracle:
             raise ValueError("census cap %d exceeds n_%d" % (cap, d))
         key = (d, cap)
         if key not in self._census:
-            self._census[key] = WindowCensus(self.search_host(d), cap)
+            self._census[key] = WindowCensus(self.search_host(d), cap,
+                                             max_bytes=self.params.memory_budget)
         return self._census[key]
 
     def complexity(self, n):

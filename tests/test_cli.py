@@ -102,6 +102,15 @@ def test_max_bytes_floor(capsys):
     assert code == 2 and "max_bytes" in err
 
 
+def test_census_budget_exits_2(capsys):
+    # Rec(108) takes a cap-108 census of each 3,359,232-char level-4 master,
+    # estimated at 2 rank levels and 5 work arrays: about 161 MB > 64 MiB
+    code, out, err = run(capsys, "subst", "--gamma", "2", "recurrence",
+                         "--n", "108", "--max-bytes", "67108864")
+    assert code == 2 and out == ""
+    assert "budget: census of 3359232 chars at cap 108" in err
+
+
 def test_growth_build_and_check(capsys):
     code, out, _ = run(capsys, "growth", "--n-max", "2048", "build",
                        "--format", "csv")

@@ -153,6 +153,20 @@ def test_interval_nesting(levels):
         assert rep["pass"], (u, rep)
 
 
+def test_interval_nesting_level_9():
+    # level 9 is the deepest level of the 2^ceil(sqrt n) table that can be
+    # built: W(9) holds 131,072 words of 512 letters, and c_9 = 65,536 would
+    # make |W(10)| = N_9 = 2^33
+    f = GrowthTable.from_function(lambda n: 2 ** ceil_sqrt(n), 2048)
+    deep = build_ergodic_levels(ErgodicParams(f=f, max_level=9))
+    assert [len(lv.W) for lv in deep.levels] == [2, 2, 4, 16, 32, 32, 512, 512,
+                                                  131072, 131072]
+    for u in ("b", "ab"):
+        rep = verify_interval_nesting(deep, u)
+        assert rep["pass"], rep
+        assert rep["levels"][-1] == 9
+
+
 def test_interval_shrinkage(levels):
     rows = interval_rows(levels, "a")
     deltas = [r[3] for r in rows]

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -197,3 +198,22 @@ def test_vanishes_on_sample(lang):
     f = AlgebraElement(lang, {(0, 0, "aaa"): 1})
     assert vanishes_on_sample(f, 0, 0, "aab")
     assert not vanishes_on_sample(f, 0, 0, "aa")   # no conflict on overlap
+
+
+# a master word that min_period calls periodic must fail condition (iii) of
+# the witness product; run under python -O, where an assert would be stripped
+_PERIODIC_WITNESS = """
+import sys
+from wordlab import cli, steinberg_algebra as sa
+
+sa.min_period = lambda word, d_max=None: 1
+sys.exit(cli.parse_and_dispatch(["algebra", "witness-product", "--random", "5"]))
+"""
+
+
+def test_witness_product_fails_under_python_O(run_python_O):
+    proc = run_python_O(_PERIODIC_WITNESS)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    doc = json.loads(proc.stderr)
+    assert doc["witness"] == {"failed_assertion": "condition (iii) fails"}

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,19 @@ def test_window_census_python_path():
         letters = rng.choice(("01", "01|"))
         host = "".join(rng.choice(letters) for _ in range(rng.randint(1, 60)))
         cases.append((host, rng.randint(1, 70)))
+    # around the packed width m = 64 // sigma.bit_length(), "|" counted as a
+    # letter: 4 and 5 letters give m = 21 and 21 letters m = 12, neither a
+    # power of two, and one letter gives m = 64; caps below, at and just
+    # above m, hosts shorter than m, separators at the ends
+    for letters, m in (("abc|", 21), ("abcd|", 21), ("abcdefghijklmnopqrst|", 12),
+                       ("0", 64)):
+        for cap in (m - 1, m, m + 1, 2 * m + 1):
+            for size in (m - 3, m + 1, 3 * m):
+                host = letters + "".join(rng.choice(letters) for _ in range(size))
+                cases.append((host, cap))
+                cases.append(("|" + host[::-1] + "|", cap))
+        cases.append((letters.rstrip("|"), m + 1))
+    cases += [("0" * 64, 64), ("0" * 65, 65), ("0" * 130, 129), ("00|00", 64)]
     for host, cap in cases:
         c = WindowCensus(host, cap, separators="|")
         brute = _brute_counts(host, cap, "|")
@@ -128,7 +142,8 @@ def test_window_census_python_path():
 
 def test_window_census_blocks_are_occurrence_sets():
     rng = random.Random(12)
-    hosts = ["|" * 4, "|0|", "0110|0110", "012" * 9]
+    hosts = ["|" * 4, "|0|", "0110|0110", "012" * 9,
+             "".join(rng.choice("abcde") for _ in range(120))]
     hosts += ["".join(rng.choice("01|") for _ in range(rng.randint(1, 80))) for _ in range(60)]
     for host in hosts:
         cap = rng.randint(1, 12)
@@ -141,6 +156,45 @@ def test_window_census_blocks_are_occurrence_sets():
             assert len(blocks) == c.count(n)
             for w, b in zip(windows, blocks):
                 assert b.tolist() == occurrence_positions(w, host)
+
+
+def _census_need(host, cap):
+    # the census's byte estimate: rank levels k = m 2^j <= cap of L + cap + 1
+    # int32 ranks, plus five int64 work arrays of L entries
+    m = min(cap, 64 // len(set(host)).bit_length())
+    return (cap // m).bit_length() * (len(host) + cap + 1) * 4 + 5 * len(host) * 8
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_window_census_budget_checked_before_allocating():
+    host = "01" * 50_000
+    need = _census_need(host, 100)          # m = 32: levels k = 32, 64
+    assert need == 2 * 100_101 * 4 + 5 * 100_000 * 8
+    assert WindowCensus(host, 100, max_bytes=need).count(100) == 2
+
+    def refused():
+        with pytest.raises(ValueError, match="^budget: census of 100000 chars at cap 100"):
+            WindowCensus(host, 100, max_bytes=need - 1)
+    # the encoded host and a letter count, no census array
+    assert _traced_peak(refused) < 2 * len(host)
+
+
+def test_window_census_estimate_bounds_its_peak():
+    rng = random.Random(9)
+    cases = [("012", 162, ""), ("ab|", 1188, "|"), ("abcde", 300, ""),
+             ("01", 4096, ""), ("0", 200, "")]
+    for letters, cap, seps in cases:
+        host = "".join(rng.choice(letters) for _ in range(100_000))
+        peak = _traced_peak(lambda: WindowCensus(host, cap, separators=seps))
+        assert peak < _census_need(host, cap), (letters, cap, peak)
 
 
 def test_window_census_numpy_path():
