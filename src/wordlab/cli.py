@@ -134,12 +134,21 @@ def emit_report(payload, args, rows=None, columns=None, passed=True):
 
 # ---------------------------------------------------------------- families
 
-def _growth_table(args):
-    return GrowthTable.from_name(args.g, args.n_max)
+# Peak bytes per n of the tables that `growth build` and `growth check`
+# tabulate (f, f', omega; build also holds and prints one row per n), from
+# tracemalloc peaks for g = n^2 at n_max = 10^5 and 4*10^5: check 41-44,
+# build 660 with --format json and 280 with csv.  The witness itself is
+# held as O(log n_max) segments and costs nothing per n.
+_GROWTH_BYTES_PER_N = {"build": 700, "check": 48}
 
 
 def run_growth(args):
-    g = _growth_table(args)
+    need = _GROWTH_BYTES_PER_N[args.command] * args.n_max
+    budget = max_bytes_budget(args.max_bytes)
+    if need > budget:
+        raise ValueError("budget: growth %s tabulates %d values of f, about "
+                         "%d bytes > %d" % (args.command, args.n_max, need, budget))
+    g = GrowthTable.from_name(args.g, args.n_max)
     w = build_superlinear_witness(g)           # runs verify_witness
     if args.command == "build":
         deriv, flag = discrete_derivative(w.f)
@@ -160,7 +169,6 @@ def run_growth(args):
     # check
     checks = w.checks
     props = check_growth_properties(w.f)
-    del props["doubling_ratios"]          # diagnostic bulk, not a check
     # the construction promises monotonicity, the doubling square bound and
     # the telescoping bound; submultiplicativity of f is diagnostic only
     # (it genuinely fails at the marked jumps f(2 d_i) = i f(d_i))

@@ -1,5 +1,4 @@
-# Tabulated integer growth functions and the superlinear-complexity
-# candidate f.
+# Integer growth functions and the superlinear-complexity candidate f.
 #
 # Symbols:
 #   g     a superlinear function (g(n)/n eventually increasing)
@@ -8,30 +7,130 @@
 #   f(1) = 2;  f(n) = f(n-1)+1 for n not of the form 2 d_i;  f(2 d_i) = i f(d_i)
 #
 # The construction needs omega(n)! < g(n) / (2(n+1)) for large n; the builder
-# certifies this on the whole tabulated range from a recorded threshold n0.
+# certifies this on the whole range 1..n_max from a recorded threshold n0.
+#
+# The witness is built and checked without walking the range n by n.
+# Between consecutive jumps 2 d_i, f(n) = n + c and omega(n) = K are constant
+# (a segment), and a named g is an integer quadratic on each of its pieces
+# (one for n^2, one per dyadic block for n floor(log2 n)).  On a run of n inside one segment and one piece, each
+# invariant says that an integer quadratic a n^2 + b n + c with a >= 0 is
+# nonnegative; its smallest (or largest) negative point is found exactly, at
+# the run's ends, at the vertex, or by bisection between them.  So the builder
+# and the checker cost O(log n_max) runs for a named g, and O(n_max) for a g
+# given as a table (one piece per n).
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 
-import numpy as np
+_lo = itemgetter(0)
 
 
-@dataclass
+def _at(items, n):
+    """The piece or segment (lo, ...) of a sorted list that covers n."""
+    return items[bisect_right(items, n, key=_lo) - 1]
+
+
+def _ranges(items, n_max):
+    """Yield (item, hi) for each piece or segment, hi its last n."""
+    for k, item in enumerate(items):
+        yield item, (items[k + 1][0] - 1 if k + 1 < len(items) else n_max)
+
+
+def _runs(lo, hi, *starts):
+    """Split [lo, hi] at every start in the given lists; yield (s, e)."""
+    cuts = sorted({x for st in starts for x in st if lo < x <= hi})
+    return zip([lo] + cuts, [x - 1 for x in cuts] + [hi])
+
+
+def _first_negative(a, b, c, lo, hi):
+    """Smallest n in [lo, hi] with a n^2 + b n + c < 0 (a >= 0), or None.
+
+    The quadratic is convex, so on the integers it does not increase from
+    lo up to its integer minimiser m, and fails somewhere iff it fails at m;
+    the first failure is then bisected in [lo, m]."""
+    def q(n):
+        return (a * n + b) * n + c
+    if lo > hi:
+        return None
+    if q(lo) < 0:
+        return lo
+    if a == 0:
+        m = hi if b < 0 else lo
+    else:
+        m = min(max(-b // (2 * a), lo), hi)
+        if m < hi and q(m + 1) < q(m):
+            m += 1
+    if q(m) >= 0:
+        return None
+    ok, bad = lo, m                       # q(ok) >= 0 > q(bad)
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        if q(mid) < 0:
+            bad = mid
+        else:
+            ok = mid
+    return bad
+
+
+def _last_negative(a, b, c, lo, hi):
+    """Largest n in [lo, hi] with a n^2 + b n + c < 0 (a >= 0), or None."""
+    n = _first_negative(a, -b, c, -hi, -lo)
+    return None if n is None else -n
+
+
 class GrowthTable:
-    """f(n) for n = 1..n_max, arbitrary-precision integers."""
+    """g(n) for n = 1..n_max in exact integers, held as quadratic pieces.
 
-    values: list            # values[n] = f(n); index 0 unused
-    n_max: int
+    ``pieces`` lists (lo, a, b, c) with lo increasing from 1: g(n) is
+    a n^2 + b n + c (a >= 0) from lo up to the next piece's lo - 1, and the
+    last piece reaches n_max.  A table built from values is n_max one-point
+    pieces.  ``values`` (values[n] = g(n), index 0 unused) is tabulated from
+    the pieces only when it is first read.
+    """
 
-    def __post_init__(self):
-        if self.n_max < 1 or len(self.values) != self.n_max + 1:
+    def __init__(self, values, n_max):
+        if n_max < 1 or len(values) != n_max + 1:
             raise ValueError("table must cover 1..n_max contiguously")
+        self.n_max = n_max
+        self._values = values
+        self._pieces = None
+
+    @classmethod
+    def from_pieces(cls, pieces, n_max):
+        """A table held as the given (lo, a, b, c) pieces on 1..n_max."""
+        if n_max < 1 or not pieces or pieces[0][0] != 1 or pieces[-1][0] > n_max \
+                or any(p[0] >= q[0] for p, q in zip(pieces, pieces[1:])):
+            raise ValueError("pieces must start at 1 and increase within 1..n_max")
+        t = cls.__new__(cls)
+        t.n_max, t._values, t._pieces = n_max, None, pieces
+        return t
+
+    @property
+    def pieces(self):
+        if self._pieces is None:
+            v = self._values
+            self._pieces = [(n, 0, 0, v[n]) for n in range(1, self.n_max + 1)]
+        return self._pieces
+
+    @property
+    def values(self):
+        if self._values is None:
+            vals = [0]
+            for (lo, a, b, c), hi in _ranges(self._pieces, self.n_max):
+                vals.extend((a * n + b) * n + c for n in range(lo, hi + 1))
+            self._values = vals
+        return self._values
 
     def __call__(self, n):
         if not (1 <= n <= self.n_max):
             raise ValueError("n=%d outside table range 1..%d" % (n, self.n_max))
-        return self.values[n]
+        if self._values is not None:
+            return self._values[n]
+        _, a, b, c = _at(self._pieces, n)
+        return (a * n + b) * n + c
 
     @classmethod
     def from_function(cls, fn, n_max):
@@ -40,13 +139,17 @@ class GrowthTable:
 
     @classmethod
     def from_name(cls, name, n_max):
-        """Closed-form pickers: "id", "n^2", "nlogn"."""
+        """Closed forms "id", "n^2" and "nlogn" = n max(1, floor(log2 n)),
+        with floor(log2 n) = n.bit_length() - 1 in exact integers."""
         if name == "id":
-            return cls.from_function(lambda n: n, n_max)
+            return cls.from_pieces([(1, 0, 1, 0)], n_max)
         if name in ("n^2", "n2", "square"):
-            return cls.from_function(lambda n: n * n, n_max)
+            return cls.from_pieces([(1, 1, 0, 0)], n_max)
         if name in ("nlogn", "n log n"):
-            return cls.from_function(lambda n: max(1, n * max(1, math.floor(math.log2(n)))), n_max)
+            # n on 1..3, then k n on each block 2^k..2^(k+1)-1
+            return cls.from_pieces([(1, 0, 1, 0)] + [
+                (2 ** k, 0, k, 0) for k in range(2, max(2, n_max.bit_length()))],
+                n_max)
         raise ValueError("unknown growth function %r" % name)
 
 
@@ -55,36 +158,29 @@ def discrete_derivative(table):
 
     Returns (GrowthTable, flag) where flag records the f'(1) convention.
     """
+    v = table.values
     vals = [0, 0]
     for n in range(2, table.n_max + 1):
-        vals.append(table.values[n] - table.values[n - 1])
+        vals.append(v[n] - v[n - 1])
     return GrowthTable(vals, table.n_max), "f_prime_at_1_set_to_0"
 
 
-def cumulative_sum(deriv, f1):
-    """Inverse of discrete_derivative given f(1); reproduces f exactly."""
-    vals = [0, f1]
-    for n in range(2, deriv.n_max + 1):
-        vals.append(vals[-1] + deriv.values[n])
-    return GrowthTable(vals, deriv.n_max)
-
-
 def check_growth_properties(table, pair_limit=2_000_000):
-    """Monotonicity, submultiplicativity, and doubling-ratio diagnostics.
+    """Monotonicity and submultiplicativity of a tabulated function.
 
     Submultiplicativity means f(m+n) <= f(m) f(n); all tested violating
-    pairs are returned.  The doubling profile f(2n)/f(n) is a finite
-    diagnostic only (polynomial boundedness is an asymptotic statement
-    that no finite table can settle).
+    pairs are returned.  Polynomial boundedness of the doubling profile
+    f(2n)/f(n) is an asymptotic statement that no finite table can settle,
+    so it is only noted.
     """
     v = table.values
     N = table.n_max
     nondecreasing = all(v[n] <= v[n + 1] for n in range(1, N))
     strict_from = None
-    for start in range(1, N):
-        if all(v[n] < v[n + 1] for n in range(start, N)):
-            strict_from = start
+    for n in range(N - 1, 0, -1):
+        if v[n] >= v[n + 1]:
             break
+        strict_from = n
     violations = []
     # test all pairs when affordable, else a deterministic stride sample
     total_pairs = (N - 1) * N // 2
@@ -95,14 +191,12 @@ def check_growth_properties(table, pair_limit=2_000_000):
             tested += 1
             if v[m + n] > v[m] * v[n]:
                 violations.append((m, n))
-    doubling = [(n, Fraction(v[2 * n], v[n])) for n in range(1, N // 2 + 1)]
     return {
         "nondecreasing": nondecreasing,
         "strictly_increasing_from": strict_from,
         "submultiplicative": not violations,
         "violating_pairs": violations,
         "pairs_tested": tested,
-        "doubling_ratios": doubling,
         "doubling_note": "finite diagnostic only",
     }
 
@@ -111,23 +205,67 @@ def check_growth_properties(table, pair_limit=2_000_000):
 class SuperlinearWitness:
     g: GrowthTable
     d: dict                      # i -> d_i, starting at i = 2
-    f: GrowthTable
-    omega: list                  # omega[n] for n in 0..n_max (index 0 unused)
+    segments: list               # (lo, c, K): f(n) = n + c and omega(n) = K
+                                 # from lo up to the next segment's lo - 1
     n0: int                      # factorial constraint certified for all n >= n0
     superlinear_from: int = 0    # g(n)/n nondecreasing from here on
     checks: dict = field(default_factory=dict)
 
+    @cached_property
+    def f(self):
+        return GrowthTable.from_pieces(
+            [(lo, 0, 1, c) for lo, c, _ in self.segments], self.g.n_max)
+
+    @cached_property
+    def omega(self):
+        """omega[n] for n in 0..n_max (index 0 unused), tabulated when read."""
+        om = [0]
+        for (lo, _, K), hi in _ranges(self.segments, self.g.n_max):
+            om.extend([K] * (hi - lo + 1))
+        return om
+
 
 def _superlinear_threshold(g):
-    """Smallest T with g(n+1)/(n+1) >= g(n)/n for all n >= T, or None."""
-    v = g.values
-    T = 1
-    for n in range(1, g.n_max):
-        if v[n + 1] * n < v[n] * (n + 1):
-            T = n + 1
-    if T >= g.n_max:
-        return None
-    return T
+    """Smallest T with g(n+1)/(n+1) >= g(n)/n for all n >= T, or None.
+
+    Inside a piece g(n+1) n - g(n)(n+1) = a n(n+1) - c; the n just before a
+    piece's start is checked on its own."""
+    last = None
+    for (lo, a, _, c), hi in _ranges(g.pieces, g.n_max):
+        n = _last_negative(a, a, -c, lo, hi - 1)
+        if n is not None:
+            last = n
+        if hi < g.n_max and g(hi + 1) * hi < g(hi) * (hi + 1):
+            last = hi
+    T = 1 if last is None else last + 1
+    return None if T >= g.n_max else T
+
+
+def _runs_on(g, segments, lo):
+    """Yield (s, e, segment, piece) for each run of [lo, n_max] that lies in
+    one segment and one piece of g."""
+    pieces = g.pieces
+    for s, e in _runs(lo, g.n_max, [x[0] for x in segments], [p[0] for p in pieces]):
+        yield s, e, _at(segments, s), _at(pieces, s)
+
+
+def _factorial_gap(piece, K):
+    """(a, b, c) of g(n) - 2 K! (n+1) - 1 on a piece of g: negative exactly
+    where the factorial constraint K! 2(n+1) < g(n) fails."""
+    _, a, b, c = piece
+    F = 2 * math.factorial(K)
+    return a, b - F, c - F - 1
+
+
+def _holds_somewhere(g, K, lo):
+    """Whether K! 2(n+1) < g(n) for some n in [lo, n_max].  The gap is convex
+    on each piece of g, so it is >= 0 somewhere on a run iff at an end."""
+    for piece, hi in _ranges(g.pieces, g.n_max):
+        if hi >= lo:
+            a, b, c = _factorial_gap(piece, K)
+            if any((a * n + b) * n + c >= 0 for n in (max(piece[0], lo), hi)):
+                return True
+    return False
 
 
 def build_superlinear_witness(g):
@@ -136,7 +274,7 @@ def build_superlinear_witness(g):
     d_2 is the smallest admissible power of 2 (> 1); each d_{i+1} is the
     smallest power of 2 exceeding 4 d_i whose onset still satisfies the
     factorial constraint omega(n)! < g(n)/(2(n+1)).  The constraint is then
-    certified for every tabulated n >= n0, with n0 minimal; no such n0
+    certified for every n >= n0 up to n_max, with n0 minimal; no such n0
     means the horizon is too short.
     """
     N = g.n_max
@@ -146,89 +284,61 @@ def build_superlinear_witness(g):
     if threshold is None:
         raise ValueError("g is not superlinear on the tabulated range")
 
+    # d_i is placed when, with omega = i from n = 2 d_i on, the factorial
+    # constraint holds somewhere in [2 d_i, N] (the recorded n0 absorbs early
+    # failures).  A larger candidate only shrinks that range, so only the
+    # least candidate is tried: 2, then 8 d_i (the least power of 2 > 4 d_i).
     d = {}
-    i = 2
-    last = None
-    while True:
-        # d_2 only needs to exceed 1; afterwards d_{i+1} > 4 d_i
-        cand = 2
-        while last is not None and cand <= 4 * last:
-            cand *= 2
-        # feasibility: with omega = i from n = 2*cand on, the factorial
-        # constraint i! * 2(n+1) < g(n) must hold from some point of the
-        # regime onwards (the recorded n0 absorbs early failures)
-        fact_i = math.factorial(i)
-        placed = False
-        while 2 * cand <= N:
-            if any(fact_i * 2 * (n + 1) < g.values[n] for n in range(2 * cand, N + 1)):
-                d[i] = cand
-                last = cand
-                placed = True
-                break
-            cand *= 2
-        if not placed:
-            break
-        i += 1
-
-    if 2 not in d:
+    i, cand = 2, 2
+    while 2 * cand <= N and _holds_somewhere(g, i, 2 * cand):
+        d[i] = cand
+        i, cand = i + 1, 8 * cand
+    if not d:
         raise ValueError("horizon: could not place d_2 on the tabulated range")
 
-    two_d = {2 * di: i for i, di in d.items()}
-    omega = [0] * (N + 1)
-    cur = 0
-    jumps = sorted(two_d.items())
-    jptr = 0
-    for n in range(1, N + 1):
-        while jptr < len(jumps) and jumps[jptr][0] <= n:
-            cur = jumps[jptr][1]
-            jptr += 1
-        omega[n] = cur
+    segments = [(1, 1, 0)]               # f(n) = n + 1 before the first jump
+    for i, di in d.items():
+        segments.append((2 * di, i * (di + _at(segments, di)[1]) - 2 * di, i))
 
-    fvals = [0, 2]
-    for n in range(2, N + 1):
-        if n in two_d:
-            i = two_d[n]
-            fvals.append(i * fvals[n // 2])
-        else:
-            fvals.append(fvals[n - 1] + 1)
-    f = GrowthTable(fvals, N)
-
-    # factorial constraint omega(n)! < g(n)/(2(n+1)) for all n >= n0, n0 minimal.
-    # vectorized where everything fits in int64, exact python ints otherwise.
-    fact = [math.factorial(omega[n]) for n in range(N + 1)]
-    ok = [False] * (N + 1)
-    if max(fact) * 2 * (N + 1) < 2**62 and max(g.values) < 2**62:
-        fa = np.array(fact, dtype=np.int64)
-        ga = np.array(g.values, dtype=np.int64)
-        ns = np.arange(N + 1, dtype=np.int64)
-        oka = fa * 2 * (ns + 1) < ga
-        ok = oka.tolist()
-    else:
-        for n in range(1, N + 1):
-            ok[n] = fact[n] * 2 * (n + 1) < g.values[n]
-    n0 = None
-    for n in range(N, 0, -1):
-        if not ok[n]:
-            n0 = n + 1
-            break
-    if n0 is None:
-        n0 = 1
+    last = None
+    for s, e, (_, _, K), piece in _runs_on(g, segments, 1):
+        n = _last_negative(*_factorial_gap(piece, K), s, e)
+        if n is not None:
+            last = n
+    n0 = 1 if last is None else last + 1
     if n0 > N:
         raise ValueError("horizon: factorial constraint never stabilizes on the range")
 
-    w = SuperlinearWitness(g=g, d=d, f=f, omega=omega, n0=n0,
+    w = SuperlinearWitness(g=g, d=d, segments=segments, n0=n0,
                            superlinear_from=threshold)
     verify_witness(w)
     return w
 
 
 def verify_witness(w):
-    """All displayed invariants of the construction, checked on the range.
+    """All displayed invariants of the construction on 1..n_max.
 
-    A failed invariant raises AssertionError explicitly, so the checks hold
-    under python -O too."""
-    N = w.f.n_max
-    v = w.f.values
+    Checked segment by segment in the order below; a failure names the
+    smallest failing n of the first failing invariant, and raises
+    AssertionError explicitly, so the checks hold under python -O too.
+    - f(n) = f(n-1) + 1 holds inside a segment, so the rules need checking
+      only at segment starts and at the jumps 2 d_i; omega likewise.
+    - Strict monotonicity can fail only at a segment start s, where it is
+      f'(s) >= 1 (at s = 2 d_i, f'(s) = (i-1) f(d_i) - (d_i - 1)).
+    - f(2n) <= f(n)^2 on a run where n lies in one segment (f = n + c) and 2n
+      in one segment (f = 2n + c2) is n^2 + (2c - 2) n + c^2 - c2 >= 0.
+    - The telescoping bound f(n) <= 2(n+1) K! is linear on a segment.
+    - From n0 on, on a run in one segment and one piece of g, the factorial
+      constraint K! 2(n+1) < g(n) and f(n) < g(n) are quadratics in n.
+    """
+    N = w.g.n_max
+    segs = w.segments
+    starts = [s for s, _, _ in segs]
+    if starts[0] != 1 or starts[-1] > N or any(
+            a >= b for a, b in zip(starts, starts[1:])):
+        raise AssertionError("segments must start at 1 and increase within 1..%d" % N)
+    if w.n0 < 1:
+        raise AssertionError("n0 = %d is below 1" % w.n0)
     ds = sorted(w.d.items())
     for (i, di), (j, dj) in zip(ds, ds[1:]):
         if not (j == i + 1 and dj > 4 * di):
@@ -237,33 +347,44 @@ def verify_witness(w):
     for i, di in ds:
         if not (di > 1 and di & (di - 1) == 0):
             raise AssertionError("each d_i must be a power of 2 > 1 (d_%d=%d)" % (i, di))
-    if v[1] != 2:
-        raise AssertionError("f(1) = %d, expected 2" % v[1])
-    two_d = {2 * di: i for i, di in w.d.items()}
-    for n in range(2, N + 1):
+
+    def f(n):
+        return n + _at(segs, n)[1]
+    if f(1) != 2:
+        raise AssertionError("f(1) = %d, expected 2" % f(1))
+    two_d = {2 * di: i for i, di in ds if 2 * di <= N}
+    for n in sorted(set(starts[1:]) | set(two_d)):
         if n in two_d:
-            if v[n] != two_d[n] * v[n // 2]:
+            if f(n) != two_d[n] * f(n // 2):
                 raise AssertionError("f(2 d_i) != i f(d_i) at n=%d" % n)
-        elif v[n] != v[n - 1] + 1:
+        elif f(n) != f(n - 1) + 1:
             raise AssertionError("f(n) != f(n-1) + 1 at n=%d" % n)
-    # strict monotonicity: at n = 2 d_i this is f'(2d_i) = (i-1) f(d_i) - (d_i - 1) >= 1
-    for n in range(1, N):
-        if not v[n] < v[n + 1]:
-            raise AssertionError("f must be strictly increasing (fails at n=%d)" % n)
-    # f(2n) <= f(n)^2
-    for n in range(1, N // 2 + 1):
-        if not v[2 * n] <= v[n] * v[n]:
+    for n in sorted(set(starts) | set(two_d)):
+        if _at(segs, n)[2] != max([i for m, i in two_d.items() if m <= n], default=0):
+            raise AssertionError("omega(n) != max{i : 2 d_i <= n} at n=%d" % n)
+    for s in starts[1:]:
+        if not f(s - 1) < f(s):
+            raise AssertionError("f must be strictly increasing (fails at n=%d)"
+                                 % (s - 1))
+    for s, e in _runs(1, N // 2, starts, [(x + 1) // 2 for x in starts]):
+        c, c2 = _at(segs, s)[1], _at(segs, 2 * s)[1]
+        n = _first_negative(1, 2 * c - 2, c * c - c2, s, e)
+        if n is not None:
             raise AssertionError("f(2n) <= f(n)^2 fails at n=%d" % n)
-    # telescoping bound f(n) <= 2(n+1) omega(n)!
-    for n in range(1, N + 1):
-        if not v[n] <= 2 * (n + 1) * math.factorial(w.omega[n]):
+    for (lo, c, K), hi in _ranges(segs, N):
+        F = 2 * math.factorial(K)
+        n = _first_negative(0, F - 1, F - c, lo, hi)
+        if n is not None:
             raise AssertionError("telescoping bound fails at n=%d" % n)
     # factorial constraint beyond n0, hence f(n) < g(n) there
-    for n in range(w.n0, N + 1):
-        if not math.factorial(w.omega[n]) * 2 * (n + 1) < w.g.values[n]:
-            raise AssertionError("factorial constraint fails at n=%d" % n)
-        if not v[n] < w.g.values[n]:
-            raise AssertionError("f(n) < g(n) fails at n=%d" % n)
+    for s, e, (_, c, K), piece in _runs_on(w.g, segs, w.n0):
+        n1 = _first_negative(*_factorial_gap(piece, K), s, e)
+        _, ga, gb, gc = piece
+        n2 = _first_negative(ga, gb - 1, gc - c - 1, s, e)
+        if n1 is not None and (n2 is None or n1 <= n2):
+            raise AssertionError("factorial constraint fails at n=%d" % n1)
+        if n2 is not None:
+            raise AssertionError("f(n) < g(n) fails at n=%d" % n2)
     w.checks = {
         "d_sequence": dict(ds),
         "n0": w.n0,

@@ -125,6 +125,20 @@ def test_growth_build_and_check(capsys):
     assert code == 2
 
 
+def test_growth_budget_exits_2(capsys):
+    import time
+    import tracemalloc
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "growth", "--n-max", "1000000000000", "check")
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "budget: growth check tabulates 1000000000000 values" in err
+    assert elapsed < 1 and peak < 1 << 20
+
+
 def test_xk_build_and_complexity(capsys):
     code, out, _ = run(capsys, "xk", "--max-level", "5", "build",
                        "--format", "csv")
@@ -233,8 +247,9 @@ def test_failed_checks_exit_1_in_densities_and_structure(capsys, monkeypatch):
         "failed_assertion": "level 2 word with 0 at the boundary"}
 
 # sha256 of stdout recorded before substitution-language queries moved to
-# the junction windows, and before the ergodic intervals moved to the level
-# recursion; any change to these report bytes is a regression
+# the junction windows, before the ergodic intervals moved to the level
+# recursion, and before the growth witness was held as segments; any change
+# to these report bytes is a regression
 PINNED_STDOUT = [
     (("algebra", "decompose-identity", "--l", "1"),
      "d0c1d7cbc3532c0056e39fb9f3634e543a061ba2f918aa0204c6a47924f8f4ac"),
@@ -244,12 +259,17 @@ PINNED_STDOUT = [
      "d5963a910c268dcf58ef5bf7fd018c356deb1f90941c89b0b5feca352f39376b"),
     (("ergodic", "intervals", "--u", "a", "--format", "csv"),
      "fd53c1282bbe2df974bcef83a9c8dbb3fe5e731114f11a1a623b6f2014addaa8"),
+    (("growth", "--g", "n^2", "--n-max", "100000", "check"),
+     "3247b3a9c12f1a44bc0d9573d115d18c1d8e0e8437377a4a8b9c43d5af7a6b66"),
+    (("growth", "--g", "nlogn", "--n-max", "4096", "build", "--format", "csv"),
+     "7a2986c06c8394a29074f0a3a9bf4db2424e8faa087a1ba7121867c6624ab3e1"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
                          ids=["decompose-identity-l1", "complexity-1188",
-                              "ergodic-intervals-ab", "ergodic-intervals-a"])
+                              "ergodic-intervals-ab", "ergodic-intervals-a",
+                              "growth-check-n2", "growth-build-nlogn"])
 def test_pinned_stdout_bytes(capsys, argv, digest):
     import hashlib
     code, out, _ = run(capsys, *argv)
