@@ -29,7 +29,12 @@ from functools import cached_property
 import numpy as np
 
 from .growth_functions import GrowthTable, check_growth_properties
-from .words_core import count_occurrences, max_bytes_budget
+from .words_core import (
+    _SET_MEMBER_BYTES,
+    WindowCensus,
+    count_occurrences,
+    max_bytes_budget,
+)
 
 
 @dataclass
@@ -399,57 +404,114 @@ def decompose_factor(levels, v):
 
 # ---------------------------------------------------------------------------
 # finite reflections of the complexity sandwich and the frequency limit
+#
+# Covering argument.  A length-n factor of a word wc of W(k+1) = W(k) C(k)
+# lies in w, in c, or across the junction, and then in s(w) p(c), where p
+# and s take the first and last n-1 letters (the whole word when it is
+# shorter).  By induction, every length-n factor of a W(K) word is a letter
+# or a window of such a junction string at some level k < K.  Conversely
+# every W(k+1) word is a prefix of a W(K) word, so every window of a
+# junction string at a level k < K is a factor of W(K).
 
-def language_complexity(levels, n, depth=None):
-    """Count of distinct length-n factors of the built words, with a
-    stabilization label: the deepest two levels must agree for "stabilized"
-    (every built word is a prefix of a deeper one, so factors of level d
-    cover the factors of all shallower levels)."""
+
+def _junctions(levels, ks, r):
+    """Sorted distinct junction strings s_r(w) p_r(c), w in W(k), c in C(k),
+    over the levels k in ks.  They are the product of the distinct suffixes
+    and prefixes, so the byte budget is checked on that product before any
+    string is built.  r is taken >= 1: w[-0:] would be all of w, and at
+    r = 1 the length-1 windows are still letters of W(k+1) words."""
+    r = max(r, 1)
+    parts = [({w[-r:] for w in levels.W(k)}, {c[:r] for c in levels.levels[k].C})
+             for k in ks]
+    pairs = sum(len(sufs) * len(pres) for sufs, pres in parts)
+    need = pairs * (2 * r + _SET_MEMBER_BYTES)
+    budget = max_bytes_budget(levels.params.memory_budget)
+    if need > budget:
+        raise ValueError("budget: up to %d junction strings of %d letters need "
+                         "about %d bytes > %d" % (pairs, 2 * r, need, budget))
+    return sorted({s + p for sufs, pres in parts for s in sufs for p in pres})
+
+
+def _language_counts(levels, depth, cap):
+    """counts[n], 1 <= n <= cap: distinct length-n factors of the W(depth)
+    words, from one census of the junction strings of levels < depth."""
+    host = "|".join(_junctions(levels, range(depth), cap - 1))
+    return WindowCensus(host, cap, separators="|",
+                        max_bytes=levels.params.memory_budget).counts
+
+
+def language_complexity(levels, cap, depth=None):
+    """Rows {n, count, count_prev, label} for n = 1..cap: the number of
+    distinct length-n factors of the W(depth) words (default the deepest
+    level) and of the W(depth-1) words.  The deeper host holds every
+    junction string of the shallower, so count_prev <= count; the label is
+    "stabilized" where the two agree, else "lower bound".  Only the byte
+    budget limits depth and cap."""
     if depth is None:
         depth = levels.deepest
-        while depth > 1 and len(levels.W(depth)) * 2 ** depth > 8 * 10 ** 6:
-            depth -= 1
-    if not (1 <= n <= 2 ** (depth - 1)):
-        raise ValueError("need 1 <= n <= 2^(depth-1)")
-
-    def count(d):
-        seen = set()
-        for w in levels.W(d):
-            for i in range(len(w) - n + 1):
-                seen.add(w[i:i + n])
-        return len(seen)
-
-    deep, shallow = count(depth), count(depth - 1)
-    if deep < shallow:
-        raise AssertionError("level %d has fewer length-%d factors than level %d"
-                             % (depth, n, depth - 1))
-    return {"n": n, "count": deep, "depth": depth,
-            "label": "stabilized" if deep == shallow else "lower bound"}
+    if not 2 <= depth <= levels.deepest:
+        raise ValueError("need 2 <= depth <= %d" % levels.deepest)
+    if not 1 <= cap <= 2 ** (depth - 1):
+        raise ValueError("need 1 <= cap <= 2^(depth-1)")
+    deep = _language_counts(levels, depth, cap)
+    prev = _language_counts(levels, depth - 1, cap)
+    return [{"n": n, "count": int(deep[n]), "count_prev": int(prev[n]),
+             "label": "stabilized" if deep[n] == prev[n] else "lower bound"}
+            for n in range(1, cap + 1)]
 
 
 def verify_sandwich(levels, k_max=None):
-    """Dyadic-scale reflection of f <= p <= n f: for each k,
-    f(2^k) <= |W(k+1)| and |W(k)| <= p_built(2^k) <= 2^k |W(k+1)|."""
+    """Dyadic-scale reflection of f <= p <= n f: for each k <= k_max,
+    f(2^k) <= |W(k+1)| and |W(k)| <= p_built(2^k) <= 2^k |W(k+1)|, where
+    p_built counts the factors of the deepest level K and p_prev, reported
+    beside it with the label of language_complexity, those of level K-1.
+    k_max defaults to K-2, a census at cap 2^(K-2); k_max = K-1 takes one at
+    cap 2^(K-1), seconds and hundreds of MB at K = 8, or the budget refuses
+    it (and at depth K-1, row K-1 only reads |W(K-1)|)."""
     f = levels.params.f
     K = levels.deepest
-    if k_max is None:
-        k_max = K - 1
-    k_max = min(k_max, K - 1)
+    k_max = K - 2 if k_max is None else min(k_max, K - 1)
+    if k_max < 0:
+        raise ValueError("need k_max >= 0")
+    rows = language_complexity(levels, 2 ** k_max)
     report = {}
     for k in range(0, k_max + 1):
+        row = rows[2 ** k - 1]
         sizes = {"W_k": len(levels.W(k)), "W_k1": len(levels.W(k + 1))}
         lower = f(2 ** k) <= sizes["W_k1"]
-        try:
-            p = language_complexity(levels, 2 ** k)["count"]
-        except ValueError:
-            p = None
-        mid = p is None or sizes["W_k"] <= p
-        upper = p is None or p <= 2 ** k * sizes["W_k1"]
-        report[k] = {"f_2k": f(2 ** k), "p_built": p, **sizes,
-                     "lower_ok": bool(lower), "count_ok": bool(mid and upper)}
-        if not (lower and mid and upper):
+        upper = sizes["W_k"] <= row["count"] <= 2 ** k * sizes["W_k1"]
+        report[k] = {"f_2k": f(2 ** k), "p_built": row["count"],
+                     "p_prev": row["count_prev"], "label": row["label"], **sizes,
+                     "lower_ok": bool(lower), "count_ok": bool(upper)}
+        if not (lower and upper):
             raise AssertionError("sandwich fails at k=%d" % k)
     return report
+
+
+def _window_extremes(levels, u, n):
+    """(min, max) of Phi_u over the length-2^n windows of the W(n+3) words.
+    Such a word is eight W(n) blocks, and a window is a block or crosses
+    exactly one block boundary, a junction at level n, n+1 or n+2, so it
+    lies in the junction string there (r = 2^n - 1); by the covering
+    argument every such window is in turn a window of a W(n+3) word.  The
+    blocks and the junction strings are scanned as two arrays of rows."""
+    N, d = 2 ** n, len(u)
+    pat = np.frombuffer(u.encode("latin1"), dtype=np.uint8)
+    lo, hi = [], []
+    for rows in (levels.W(n), _junctions(levels, range(n, n + 3), N - 1)):
+        arr = np.frombuffer("".join(rows).encode("latin1"), dtype=np.uint8)
+        arr = arr.reshape(len(rows), -1)
+        L = arr.shape[1]
+        hits = np.ones((len(rows), L - d + 1), dtype=bool)
+        for j in range(d):
+            hits &= arr[:, j:L - d + 1 + j] == pat[j]
+        cs = np.zeros((len(rows), L - d + 2), dtype=np.int32)
+        np.cumsum(hits, axis=1, out=cs[:, 1:])
+        # occurrences fully inside [i, i+N): starts in [i, i+N-d]
+        counts = cs[:, N - d + 1:] - cs[:, :L - N + 1]
+        lo.append(int(counts.min()))
+        hi.append(int(counts.max()))
+    return min(lo), max(hi)
 
 
 def verify_frequency_deviation(levels, u, n):
@@ -476,22 +538,7 @@ def verify_frequency_deviation(levels, u, n):
         if best is None or cand < best[0]:
             best = (cand, t)
     bound = best[0] + Fraction((2 * n + 1) * d, N)
-
-    # exact min/max of Phi_u over all windows, vectorized per word
-    pat = np.frombuffer(u.encode("latin1"), dtype=np.uint8)
-    lo_phi, hi_phi = None, None
-    for w in levels.W(n + 3):
-        arr = np.frombuffer(w.encode("latin1"), dtype=np.uint8)
-        hits = np.ones(len(arr) - d + 1, dtype=bool)
-        for j in range(d):
-            hits &= arr[j:len(arr) - d + 1 + j] == pat[j]
-        cs = np.concatenate(([0], np.cumsum(hits)))
-        # occurrences fully inside [i, i+N): starts in [i, i+N-d]
-        counts = cs[N - d + 1:len(arr) - d + 2] - cs[:len(arr) - N + 1]
-        lo = int(counts.min())
-        hi = int(counts.max())
-        lo_phi = lo if lo_phi is None else min(lo_phi, lo)
-        hi_phi = hi if hi_phi is None else max(hi_phi, hi)
+    lo_phi, hi_phi = _window_extremes(levels, u, n)
     max_dev = max(abs(Fraction(lo_phi, N) - mid), abs(Fraction(hi_phi, N) - mid))
     ok = max_dev < bound
     return {"u": u, "n": n, "N": N, "mid": str(mid), "t_star": best[1],

@@ -14,7 +14,6 @@
 
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,39 +31,6 @@ def max_bytes_budget(override=None):
         except ValueError:
             raise ValueError("WORDLAB_MAX_BYTES must be an integer, got %r" % env)
     return DEFAULT_MAX_BYTES
-
-
-class Alphabet:
-    """An ordered finite alphabet of single characters."""
-
-    def __init__(self, symbols):
-        symbols = tuple(symbols)
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("alphabet symbols must be distinct")
-        if any(len(s) != 1 for s in symbols):
-            raise ValueError("alphabet symbols must be single characters")
-        self.symbols = symbols
-        self._index = {s: i for i, s in enumerate(symbols)}
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __contains__(self, s):
-        return s in self._index
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def index(self, s):
-        return self._index[s]
-
-    def validate(self, word):
-        for c in word:
-            if c not in self._index:
-                raise ValueError("symbol %r not in alphabet %r" % (c, "".join(self.symbols)))
-
-    def __repr__(self):
-        return "Alphabet(%r)" % ("".join(self.symbols),)
 
 
 def count_occurrences(pattern, host):
@@ -89,20 +55,6 @@ def occurrence_positions(pattern, host):
         out.append(i)
         i = host.find(pattern, i + 1)
     return out
-
-
-def frequency(pattern, host):
-    """phi_u(w) = Phi_u(w) / |w| as an exact Fraction.
-
-    Phi_u(w) is the overlapping occurrence count.
-    """
-    if len(pattern) == 0:
-        raise ValueError("empty pattern")
-    if len(host) == 0:
-        raise ValueError("empty host")
-    if len(host) < len(pattern):
-        return Fraction(0)
-    return Fraction(count_occurrences(pattern, host), len(host))
 
 
 def min_period(word, d_max=None):
@@ -148,11 +100,6 @@ def factor_set(hosts, n, max_bytes=None):
         raise ValueError("budget: %d length-%d windows need up to %d bytes > %d"
                          % (total_windows, n, need, budget))
     return frozenset(h[i:i + n] for h in hosts for i in range(len(h) - n + 1))
-
-
-def distinct_factor_count(hosts, n, max_bytes=None):
-    """Exact number of distinct length-n factors of the host words."""
-    return len(factor_set(hosts, n, max_bytes=max_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +174,6 @@ def sliding_containment_scan(host, K, patterns):
         return ScanResult(ok=False, window_length=K, failing_window=fail,
                           missing_pattern=p, min_window_lengths=stats)
     return ScanResult(ok=True, window_length=K, min_window_lengths=stats)
-
-
-def naive_containment(host, K, patterns):
-    """Slow direct rescan of every window; oracle for sliding_containment_scan."""
-    for i in range(len(host) - K + 1):
-        w = host[i:i + K]
-        for p in sorted(set(patterns)):
-            if p not in w:
-                return False, i, p
-    return True, None, None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from wordlab.ergodic_subshift import (
     verify_interval_nesting,
     verify_sandwich,
     _count_extremes,
+    _window_extremes,
     _prefix_blocks,
     _suffix_blocks,
 )
@@ -219,14 +221,62 @@ def test_decompose_not_a_factor(levels):
 
 
 def test_language_complexity_labels(levels):
-    rep = language_complexity(levels, 4)
-    assert rep["label"] in ("stabilized", "lower bound")
-    assert rep["count"] >= 5
+    rows = language_complexity(levels, 64)
+    assert [r["n"] for r in rows] == list(range(1, 65))
+    assert all(r["count_prev"] <= r["count"] for r in rows)
+    assert all(r["label"] == ("stabilized" if r["count"] == r["count_prev"]
+                              else "lower bound") for r in rows)
+    assert rows[3]["count"] >= 5
+    # p(64) is far from stable between depths 7 and 8
+    assert (rows[63]["count_prev"], rows[63]["count"]) == (1936, 7040)
+    assert rows[63]["label"] == "lower bound"
+    with pytest.raises(ValueError):
+        language_complexity(levels, 129)
+    with pytest.raises(ValueError):
+        language_complexity(levels, 1, depth=1)
 
 
 def test_sandwich(levels):
+    # the default rows are k <= K-2, each with an integer count at depths
+    # K-1 and K; none passes without a count
     rep = verify_sandwich(levels)
     assert all(row["lower_ok"] and row["count_ok"] for row in rep.values())
+    assert sorted(rep) == list(range(levels.deepest - 1))
+    for k, row in rep.items():
+        assert type(row["p_built"]) is int and type(row["p_prev"]) is int, k
+        assert row["W_k"] <= row["p_built"] <= 2 ** k * row["W_k1"]
+        assert row["p_prev"] <= row["p_built"]
+
+
+def test_sandwich_top_row_counted_at_small_depth(params):
+    lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=6))
+    rep = verify_sandwich(lv, k_max=5)
+    assert sorted(rep) == list(range(6))
+    assert rep[5]["p_prev"] == len(lv.W(5))       # vacuous at depth K-1
+    assert all(type(row["p_built"]) is int and row["count_ok"]
+               for row in rep.values())
+    with pytest.raises(ValueError, match="k_max >= 0"):
+        verify_sandwich(lv, k_max=-1)
+
+
+def test_sandwich_top_row_refused_by_budget(params):
+    # row K-1 at K = 8 needs a census of a 16.8M-char host at cap 128; under
+    # a 256 MB budget it is refused before the census allocates
+    lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8,
+                                            memory_budget=256 * 2 ** 20))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^budget: "):
+        verify_sandwich(lv, k_max=7)
+    assert time.perf_counter() - t0 < 5
+
+
+def test_junction_strings_checked_against_budget(params):
+    # the default sandwich at K = 8 joins up to 1,110 junction strings of 126
+    # letters, about 264 KB as set members
+    lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8))
+    lv.params.memory_budget = 10 ** 5
+    with pytest.raises(ValueError, match="^budget: up to 1110 junction strings"):
+        verify_sandwich(lv)
 
 
 def test_frequency_deviation(levels):
@@ -235,6 +285,70 @@ def test_frequency_deviation(levels):
         assert rep["pass"], rep
     with pytest.raises(ValueError):
         verify_frequency_deviation(levels, "a", levels.deepest)
+
+
+def test_frequency_deviation_n5(levels):
+    # the values of the scan over every W(8) word
+    rep = verify_frequency_deviation(levels, "ab", 5)
+    assert (rep["mid"], rep["t_star"], rep["bound"], rep["max_deviation"],
+            rep["pass"]) == ("1/16", 1, "9/8", "3/32", True)
+
+
+# ---------------------------------------------------------------------------
+# junction windows against direct scans of every word
+
+def _set_counts(words, cap):
+    """Distinct length-n windows of the words for n = 1..cap, as a set."""
+    return [len({w[i:i + n] for w in words for i in range(len(w) - n + 1)})
+            for n in range(1, cap + 1)]
+
+
+def _per_word_extremes(words, u, N):
+    """(min, max) of Phi_u over the length-N windows, one word at a time."""
+    d = len(u)
+    pat = np.frombuffer(u.encode("latin1"), dtype=np.uint8)
+    lo_phi, hi_phi = None, None
+    for w in words:
+        arr = np.frombuffer(w.encode("latin1"), dtype=np.uint8)
+        hits = np.ones(len(arr) - d + 1, dtype=bool)
+        for j in range(d):
+            hits &= arr[j:len(arr) - d + 1 + j] == pat[j]
+        cs = np.concatenate(([0], np.cumsum(hits)))
+        counts = cs[N - d + 1:len(arr) - d + 2] - cs[:len(arr) - N + 1]
+        lo = int(counts.min())
+        hi = int(counts.max())
+        lo_phi = lo if lo_phi is None else min(lo_phi, lo)
+        hi_phi = hi if hi_phi is None else max(hi_phi, hi)
+    return lo_phi, hi_phi
+
+
+@pytest.fixture(scope="module", params=["lexicographic", "seeded-random", "const-2"])
+def family(request, params, levels):
+    if request.param == "seeded-random":
+        return build_ergodic_levels(ErgodicParams(
+            f=params.f, max_level=8, choice_policy="seeded-random", seed=3))
+    if request.param == "const-2":
+        return build_ergodic_levels(ErgodicParams(
+            f=GrowthTable.from_function(lambda n: 2, 1024), max_level=8))
+    return levels
+
+
+def test_language_counts_match_set_of_windows(family):
+    for K in range(2, 8):
+        cap = 2 ** (K - 2)
+        rows = language_complexity(family, cap, depth=K)
+        assert [r["count"] for r in rows] == _set_counts(family.W(K), cap), K
+        assert [r["count_prev"] for r in rows] == _set_counts(family.W(K - 1), cap), K
+
+
+def test_window_extremes_match_per_word_scan(family):
+    # every u over {a, b} of length <= 5 (SHORT, below); dropping the level
+    # n+2 junctions changes only (lexicographic, n = 3, u = aaab) here
+    for n in range(5):
+        for u in SHORT:
+            if len(u) <= 2 ** n:
+                want = _per_word_extremes(family.W(n + 3), u, 2 ** n)
+                assert _window_extremes(family, u, n) == want, (n, u)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,18 @@ from wordlab.words_core import (
     count_occurrences,
     factor_set,
     min_period,
-    naive_containment,
     sliding_containment_scan,
 )
+
+
+def naive_containment(host, K, patterns):
+    """Slow direct rescan of every window; oracle for sliding_containment_scan."""
+    for i in range(len(host) - K + 1):
+        w = host[i:i + K]
+        for p in sorted(set(patterns)):
+            if p not in w:
+                return False, i, p
+    return True, None, None
 
 
 @pytest.fixture(scope="module")
