@@ -4,7 +4,6 @@
 from .words_core import (
     WindowCensus,
     count_occurrences,
-    factor_set,
     min_period,
     sliding_containment_scan,
 )
@@ -12,7 +11,6 @@ from .words_core import (
 __all__ = [
     "WindowCensus",
     "count_occurrences",
-    "factor_set",
     "min_period",
     "sliding_containment_scan",
 ]

@@ -90,7 +90,7 @@ def load_config(path):
                     raise UsageError("config line without '=': %r" % line)
                 k, v = line.split("=", 1)
                 out[k.strip().replace("-", "_")] = v.strip()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError("cannot read config %s: %s" % (path, e))
     return out
 
@@ -568,35 +568,58 @@ _RUNNERS = {
 }
 
 
-_INT_KEYS = {"seed", "max_bytes", "trials", "l", "N", "k_max",
-             "levels", "p_max", "r", "max_level", "n_max", "random"}
-_STR_KEYS = {"format", "output", "g", "f", "policy", "gamma", "n", "u",
-             "word", "proj", "epsilon", "n_list", "rec_samples"}
+def _subcommands(parser):
+    """name -> parser of the parser's subcommands."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _options(parser):
+    """dest -> action of the parser's flags that a config file may set."""
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _config_defaults(parser, args):
+    """Install the config file's values as defaults of the parsers on this
+    command's path, each typed and checked by the flag that owns it.  Keys
+    of other commands are ignored; keys that are no flag are an error."""
+    families = _subcommands(parser)
+    known = {key for fam in families.values()
+             for sub in [fam, *_subcommands(fam).values()] for key in _options(sub)}
+    fam = families[args.family]
+    path = (fam, _subcommands(fam)[args.command])
+    for key, raw in load_config(args.config).items():
+        if key not in known:
+            raise UsageError("config key %r is not a flag" % key)
+        for sub in path:
+            action = _options(sub).get(key)
+            if action is None:
+                continue
+            try:
+                value = action.type(raw) if action.type else raw
+            except ValueError:
+                raise UsageError("config value %s=%r is not a valid %s"
+                                 % (key, raw, action.type.__name__))
+            if action.choices is not None and value not in action.choices:
+                raise UsageError("config value %s=%r: choose from %s"
+                                 % (key, raw, ", ".join(action.choices)))
+            sub.set_defaults(**{key: value})
 
 
 def parse_and_dispatch(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # config supplies defaults only; flags given on the command line win,
-        # and keys that do not apply to this command are ignored
+        # config supplies defaults only: parsing again lets every flag given
+        # on the command line win, in any spelling argparse accepts
         if args.config:
-            defaults = load_config(args.config)
-            for key, raw in defaults.items():
-                if key not in _INT_KEYS | _STR_KEYS:
-                    raise UsageError("config key %r is not a flag" % key)
-                if "--" + key.replace("_", "-") in argv:
-                    continue
-                if hasattr(args, key):
-                    setattr(args, key,
-                            int(raw) if key in _INT_KEYS else raw)
+            _config_defaults(parser, args)
+            args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     except UsageError as e:
         sys.stderr.write("error: %s\n" % e)
-        return 2
-    except (IndexError, ValueError) as e:
-        sys.stderr.write("error: bad --config usage: %s\n" % e)
         return 2
     try:
         if args.max_bytes is None and os.environ.get("WORDLAB_MAX_BYTES"):

@@ -260,17 +260,6 @@ def _interval(u, n, extremes):
                              b=Fraction(hi, 2 ** n))
 
 
-def frequency_interval(levels, u, n):
-    """Exact I_n = [min, max] of phi_u over W(n)."""
-    if not (0 <= n <= levels.deepest):
-        raise ValueError("level %d not built" % n)
-    if len(u) > 2 ** n:
-        raise ValueError("|u| must be <= 2^n")
-    if len(u) == 0:
-        raise ValueError("empty pattern")
-    return _interval(u, n, _count_extremes(levels, u, n)[n])
-
-
 def interval_rows(levels, u, n_max=None):
     """(n, a_n, b_n, Delta_n) rows for every built level, exact rationals,
     all levels from one pass of the recursion."""

@@ -16,7 +16,6 @@
 # complexity), so the same algebra works over any of the words built here.
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .substitution_word import integer_root, recurrence_function, subst_factor_set
@@ -42,25 +41,6 @@ class SubstLanguage:
         return self.levels.complexity(n)
 
 
-class XkLanguage:
-    """Language oracle over {0, 1, 2} backed by an X_k oracle."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.alphabet = "012"
-        self._memo = {}
-
-    def contains(self, u):
-        v = self._memo.get(u)
-        if v is None:
-            v = self.oracle.contains(u)
-            self._memo[u] = v
-        return v
-
-    def complexity(self, n):
-        return self.oracle.complexity(n)
-
-
 def _completions(lang, lo, hi, fixed):
     """All language words on [lo, hi] consistent with the fixed positions."""
     if all(p in fixed for p in range(lo, hi + 1)):
@@ -79,14 +59,6 @@ def _completions(lang, lo, hi, fixed):
         if not out:
             break
     return out
-
-
-@dataclass(frozen=True)
-class GroupoidPoint:
-    degree: int
-    lo: int
-    word: str                     # sample on [lo, lo+len-1], stands for any
-                                  # point of X extending it
 
 
 class AlgebraElement:
@@ -308,23 +280,6 @@ def canonicalize(f):
     return AlgebraElement(lang, terms, char)
 
 
-def evaluate_at(f, point):
-    """Sum of coefficients of the terms matched by the sampled point."""
-    s_lo, s_hi = point.lo, point.lo + len(point.word) - 1
-    total = f._c(0)
-    for (d, lo, pat), c in f.terms.items():
-        if d != point.degree:
-            continue
-        if pat:
-            if lo < s_lo or lo + len(pat) - 1 > s_hi:
-                raise ValueError("insufficient sample: term window [%d, %d] "
-                                 "not covered" % (lo, lo + len(pat) - 1))
-            if any(point.word[lo + i - s_lo] != ch for i, ch in enumerate(pat)):
-                continue
-        total = f._c(total + c)
-    return total
-
-
 def vanishes_on_sample(f, degree, lo, word):
     """True when every degree-matching term conflicts with the sample on the
     overlap, so f vanishes at every point of X extending the sample."""
@@ -341,18 +296,6 @@ def vanishes_on_sample(f, degree, lo, word):
         if not conflict:
             return False
     return True
-
-
-def naive_convolution_value(f, g, point):
-    """Definition-chasing (f*g)(point) = sum_{d2} f(., T^{d2} x) g(d2, x);
-    brute-force oracle for evaluate_at(convolve(f, g), point)."""
-    total = f._c(0)
-    for d2 in g.degrees():
-        fv = evaluate_at(f, GroupoidPoint(point.degree - d2,
-                                          point.lo - d2, point.word))
-        gv = evaluate_at(g, GroupoidPoint(d2, point.lo, point.word))
-        total = f._c(total + fv * gv)
-    return total
 
 
 def w_basis_dimension(lang, N):

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .words_core import (
+    _SET_MEMBER_BYTES,
     WindowCensus,
     _pattern_window_stats,
-    count_occurrences,
-    factor_set,
     max_bytes_budget,
     min_period,
     occurrence_positions,
@@ -226,17 +225,26 @@ def build_substitution_levels(params, K=None):
 
 
 def subst_factor_set(levels, n):
-    """Exact L_w(n), a frozenset, from the junction windows of the minimal
-    sufficient level."""
-    return factor_set(list(levels.junction(levels.min_level_for(n), n)), n)
+    """Exact L_w(n), a frozenset, read off the census blocks of the minimal
+    sufficient level.  Raises ValueError("budget: ...") before building any
+    string when the p(n) set members could exceed the byte budget."""
+    census = levels.census(levels.min_level_for(n), need=n)
+    p = census.count(n)
+    need = p * (n + _SET_MEMBER_BYTES)
+    budget = max_bytes_budget(levels.params.max_bytes)
+    if need > budget:
+        raise ValueError("budget: %d length-%d factors need up to %d bytes > %d"
+                         % (p, n, need, budget))
+    host = census.host
+    return frozenset(host[b[0]:b[0] + n] for b in census.blocks(n))
 
 
 def densities(levels, k):
     """Letter frequencies of alpha_k and beta_k; counted and closed-form."""
     if not (0 <= k <= levels.K):
         raise ValueError("level %d not built" % k)
-    a_in_alpha = Fraction(count_occurrences("a", levels.alpha[k]), levels.N[k])
-    a_in_beta = Fraction(count_occurrences("a", levels.beta[k]), levels.N[k])
+    a_in_alpha = Fraction(levels.alpha[k].count("a"), levels.N[k])
+    a_in_beta = Fraction(levels.beta[k].count("a"), levels.N[k])
     closed_alpha = Fraction(3**k + 1, 2 * 3**k)
     closed_beta = Fraction(3**k - 1, 2 * 3**k)
     if a_in_alpha != closed_alpha:
@@ -272,15 +280,17 @@ def beta_cubed_positions(levels, k):
     return out
 
 
-def recurrence_function(levels, n, cross_check=None):
+def recurrence_function(levels, n):
     """Exact Rec_w(n) with a failing-window certificate at Rec-1.
 
     Rec_w(n) is the least K such that every length-K factor of w contains
     every length-n factor.  Upper bound 7 N_k with k minimal such that
     n <= Ntilde_k; candidate lengths live inside the level-m master words
     where 7 N_k <= Ntilde_m.  Each master's census blocks give the sorted
-    occurrences of every length-n factor, hence its first and last
-    occurrence and largest gap.  Failed checks raise AssertionError.
+    occurrences of every length-n window, hence its first and last
+    occurrence and largest gap.  A master is a factor of w, so when it has
+    p(n) distinct length-n windows it holds every length-n factor.  Failed
+    checks raise AssertionError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -291,58 +301,40 @@ def recurrence_function(levels, n, cross_check=None):
     except ValueError:
         raise ValueError("depth: recurrence at n=%d needs a level m with "
                          "Ntilde_m >= %d" % (n, upper))
-    patterns = sorted(subst_factor_set(levels, n))
-    hosts = [("AB", levels.AB(m)), ("BA", levels.BA(m))]
+    p = levels.complexity(n)
     rec = 0
-    for name, host in hosts:
-        census = WindowCensus(host, n, max_bytes=levels.params.max_bytes)
-        occ = {host[b[0]:b[0] + n]: b for b in census.blocks(n)}
-        for p in patterns:
-            if p not in occ:
-                raise AssertionError("a length-%d factor is missing from %s_%d: %r"
-                                     % (n, name, m, p[:40]))
-        stats = {p: _pattern_window_stats(occ[p], n, len(host), len(host))[2]
-                 for p in patterns}
-        worst = max(stats.values())
+    for name, host in (("AB", levels.AB(m)), ("BA", levels.BA(m))):
+        blocks = WindowCensus(host, n, max_bytes=levels.params.max_bytes).blocks(n)
+        if len(blocks) != p:
+            raise AssertionError("%s_%d has %d distinct length-%d windows, not "
+                                 "p(%d) = %d" % (name, m, len(blocks), n, n, p))
+        worst = max(_pattern_window_stats(b, n, len(host), len(host))[2]
+                    for b in blocks)
         if worst > rec:
-            rec, rec_name, rec_host, rec_occ = worst, name, host, occ
+            rec, rec_name, rec_host, rec_blocks = worst, name, host, blocks
     if rec > upper:
         raise AssertionError("Rec_w(%d)=%d exceeds the 7 N_k bound %d" % (n, rec, upper))
 
-    # monotone binary search over the containment predicate, as a guard
-    if cross_check is None:
-        cross_check = len(patterns) * len(hosts[0][1]) <= 2 * 10**7
-    if cross_check:
-        lo, hi = n, upper
-        while lo < hi:
-            mid = (lo + hi) // 2
-            good = all(sliding_containment_scan(h, mid, patterns).ok for _, h in hosts)
-            if good:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo != rec:
-            raise AssertionError("binary search %d disagrees with closed form %d"
-                                 % (lo, rec))
-
     certificate = None
     if rec - 1 >= n:
-        # the first failing window, then the smallest pattern missing from it
+        # the first failing window, then the smallest pattern missing from
+        # it: blocks come in lexicographic order, so the smallest index
         failures = []
-        for p in patterns:
-            ok, fail, _ = _pattern_window_stats(rec_occ[p], n, len(rec_host), rec - 1)
+        for i, b in enumerate(rec_blocks):
+            ok, fail, _ = _pattern_window_stats(b, n, len(rec_host), rec - 1)
             if not ok:
-                failures.append((fail, p))
+                failures.append((fail, i))
         if not failures:
             raise AssertionError("every length-%d window of %s_%d contains every "
                                  "length-%d factor" % (rec - 1, rec_name, m, n))
-        fail, p = min(failures)
+        fail, i = min(failures)
+        start = rec_blocks[i][0]
         certificate = {
             "host": rec_name,
             "host_level": m,
             "window_length": rec - 1,
             "failing_window": fail,
-            "missing_pattern": p,
+            "missing_pattern": rec_host[start:start + n],
         }
     return {"n": n, "rec": rec, "level": k, "host_level": m,
             "upper_bound_7Nk": upper, "certificate": certificate}

@@ -9,8 +9,8 @@
 # One exact counting backend lives here: a sorted-window census (suffix
 # sorting by prefix doubling from packed letter codes, numpy) that gives,
 # for every length n <= cap, the number of distinct windows and the
-# ascending occurrence positions of each.  Exact sets of factor strings
-# serve small hosts.  Both check the byte budget before they allocate.
+# ascending occurrence positions of each.  It checks the byte budget before
+# it allocates.
 
 import os
 from dataclasses import dataclass, field
@@ -72,34 +72,10 @@ def min_period(word, d_max=None):
     return None
 
 
-# ---------------------------------------------------------------------------
-# factor sets
-
 # bytes a set member takes beyond its n characters: the 49-byte str header
 # and its share of the hash table (91-109 bytes measured on 64-bit CPython
 # 3.11 for n = 20..100)
 _SET_MEMBER_BYTES = 112
-
-
-def factor_set(hosts, n, max_bytes=None):
-    """frozenset of the length-n factors of the given host words.
-
-    Raises ValueError("budget: ...") before building any string when the
-    windows could take more than the byte budget as set members.
-    """
-    if isinstance(hosts, str):
-        hosts = [hosts]
-    if n < 0:
-        raise ValueError("factor length must be non-negative")
-    if n == 0:
-        return frozenset({""})
-    budget = max_bytes_budget(max_bytes)
-    total_windows = sum(max(0, len(h) - n + 1) for h in hosts)
-    need = total_windows * (n + _SET_MEMBER_BYTES)
-    if need > budget:
-        raise ValueError("budget: %d length-%d windows need up to %d bytes > %d"
-                         % (total_windows, n, need, budget))
-    return frozenset(h[i:i + n] for h in hosts for i in range(len(h) - n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words_core import WindowCensus, factor_set, max_bytes_budget
+from .words_core import WindowCensus, max_bytes_budget
 
 # certified rational lower bound for alpha = log 4 / log 3: 3^29 < 4^23
 _ALPHA_LO = (29, 23)
@@ -180,15 +180,6 @@ class XkOracle:
             return True
         d = self._host_level_for(len(u))
         return u in self.search_host(d)
-
-
-def xk_factor_set(oracle, n):
-    """Exact L_w(n) as a frozenset."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d = oracle._host_level_for(n)
-    # use the smallest explicit host that already covers n (cheapest windows)
-    return factor_set([oracle.search_host(d)], n)
 
 
 def xk_complexity_table(oracle, n_lo, n_hi):

@@ -79,10 +79,37 @@ def test_config_defaults_and_override(tmp_path, capsys):
     code, out, _ = run(capsys, "subst", "--gamma", "2", "densities",
                        "--config", str(cfg), "--seed", "4")
     assert "seed=4" in out.split("\n")[0]
+    # the --flag=value spelling wins too
+    cfg.write_text("seed=7\nformat=csv\n")
+    code, out, _ = run(capsys, "subst", "--gamma", "2", "densities",
+                       "--config", str(cfg), "--seed=4")
+    assert code == 0 and "seed=4" in out.split("\n")[0]
     cfg.write_text("bogus_key=1\n")
     code, _, err = run(capsys, "subst", "--gamma", "2", "densities",
                        "--config", str(cfg))
     assert code == 2 and "bogus_key" in err
+    # each value takes the type of the flag it fills: --n is an integer
+    # for ret-bracket and a string for recurrence
+    cfg.write_text("n=18\n")
+    code, out, err = run(capsys, "algebra", "ret-bracket", "--config", str(cfg))
+    assert code == 0, err
+    assert json.loads(out)["report"]["rec"] == 197
+    code, out, _ = run(capsys, "subst", "--gamma", "2", "recurrence",
+                       "--n", "1", "--config", str(cfg), "--format", "csv")
+    assert code == 0 and out.split("\n")[2] == "1,4,42"
+    # and must be one of the flag's choices
+    cfg.write_text("format=xml\n")
+    code, out, err = run(capsys, "subst", "--gamma", "2", "densities",
+                         "--config", str(cfg))
+    assert code == 2 and out == "" and "format" in err and "xml" in err
+    cfg.write_text("seed=seven\n")
+    code, out, err = run(capsys, "subst", "--gamma", "2", "densities",
+                         "--config", str(cfg))
+    assert code == 2 and out == "" and "seed" in err
+    cfg.write_bytes(b"\xffseed=1\n")
+    code, out, err = run(capsys, "subst", "--gamma", "2", "densities",
+                         "--config", str(cfg))
+    assert code == 2 and out == "" and "cannot read config" in err
 
 
 def test_output_file(tmp_path, capsys):
@@ -227,7 +254,14 @@ def test_failed_checks_exit_1_in_densities_and_structure(capsys, monkeypatch):
     import wordlab.substitution_word as sw
     import wordlab.xk_words as xw
 
-    monkeypatch.setattr(sw, "count_occurrences", lambda pattern, host: 0)
+    real_build = sw.build_substitution_levels
+
+    def swapped(params, K=None):
+        levels = real_build(params, K)
+        levels.alpha, levels.beta = levels.beta, levels.alpha
+        return levels
+
+    monkeypatch.setattr(sw, "build_substitution_levels", swapped)
     code, out, err = run(capsys, "subst", "--gamma", "2", "densities")
     assert code == 1 and out == ""
     assert json.loads(err)["witness"] == {
@@ -248,8 +282,9 @@ def test_failed_checks_exit_1_in_densities_and_structure(capsys, monkeypatch):
 
 # sha256 of stdout recorded before substitution-language queries moved to
 # the junction windows, before the ergodic intervals moved to the level
-# recursion, and before the growth witness was held as segments; any change
-# to these report bytes is a regression
+# recursion, before the growth witness was held as segments, and (the last
+# two) before the recurrence function read only census blocks; any change to
+# these report bytes is a regression
 PINNED_STDOUT = [
     (("algebra", "decompose-identity", "--l", "1"),
      "d0c1d7cbc3532c0056e39fb9f3634e543a061ba2f918aa0204c6a47924f8f4ac"),
@@ -263,13 +298,18 @@ PINNED_STDOUT = [
      "3247b3a9c12f1a44bc0d9573d115d18c1d8e0e8437377a4a8b9c43d5af7a6b66"),
     (("growth", "--g", "nlogn", "--n-max", "4096", "build", "--format", "csv"),
      "7a2986c06c8394a29074f0a3a9bf4db2424e8faa087a1ba7121867c6624ab3e1"),
+    (("subst", "--gamma", "2", "recurrence", "--n", "1,18"),
+     "8028ef9364d5d9117f6fe499afed2f372c22d15a53e3374673b5d71eb59e358a"),
+    (("algebra", "ret-bracket", "--n", "18"),
+     "0b7028b9b517e44536c216505928bb4b59ac60664bf2b1311c3c1176951eab3a"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
                          ids=["decompose-identity-l1", "complexity-1188",
                               "ergodic-intervals-ab", "ergodic-intervals-a",
-                              "growth-check-n2", "growth-build-nlogn"])
+                              "growth-check-n2", "growth-build-nlogn",
+                              "recurrence-1-18", "ret-bracket-18"])
 def test_pinned_stdout_bytes(capsys, argv, digest):
     import hashlib
     code, out, _ = run(capsys, *argv)

