@@ -504,7 +504,7 @@ def build_parser():
     xs = x.add_subparsers(dest="command", required=True)
     xs.add_parser("build", parents=[common])
     xc = xs.add_parser("complexity", parents=[common])
-    xc.add_argument("--n", required=True, help="LO..HI")
+    xc.add_argument("--n", help="LO..HI")
     xs.add_parser("verify-structure", parents=[common])
     xv = xs.add_parser("verify-spike", parents=[common])
     xv.add_argument("--l", type=int, default=1)
@@ -518,9 +518,9 @@ def build_parser():
     es = e.add_subparsers(dest="command", required=True)
     es.add_parser("build", parents=[common])
     ei = es.add_parser("intervals", parents=[common])
-    ei.add_argument("--u", required=True)
+    ei.add_argument("--u")
     ed = es.add_parser("decompose", parents=[common])
-    ed.add_argument("--word", required=True)
+    ed.add_argument("--word")
 
     s = fam.add_parser("subst")
     s.add_argument("--gamma", default="2")
@@ -529,10 +529,10 @@ def build_parser():
     ss = s.add_subparsers(dest="command", required=True)
     ss.add_parser("build", parents=[common])
     sc = ss.add_parser("complexity", parents=[common])
-    sc.add_argument("--n", required=True, help="LO..HI")
+    sc.add_argument("--n", help="LO..HI")
     ss.add_parser("densities", parents=[common])
     sr = ss.add_parser("recurrence", parents=[common])
-    sr.add_argument("--n", required=True, help="comma-separated lengths")
+    sr.add_argument("--n", help="comma-separated lengths")
     sv = ss.add_parser("verify", parents=[common])
     sv.add_argument("--k-max", type=int, default=2)
     sv.add_argument("--rec-samples", default="")
@@ -558,6 +558,16 @@ def build_parser():
     an.add_argument("--N", type=int, default=2)
     return p
 
+
+# flags a command cannot run without; checked after the config pass, so
+# that a config file may supply them
+_REQUIRED = {
+    ("xk", "complexity"): "n",
+    ("ergodic", "intervals"): "u",
+    ("ergodic", "decompose"): "word",
+    ("subst", "complexity"): "n",
+    ("subst", "recurrence"): "n",
+}
 
 _RUNNERS = {
     "growth": run_growth,
@@ -616,6 +626,9 @@ def parse_and_dispatch(argv):
         if args.config:
             _config_defaults(parser, args)
             args = parser.parse_args(argv)
+        flag = _REQUIRED.get((args.family, args.command))
+        if flag and getattr(args, flag) is None:
+            raise UsageError("the following arguments are required: --%s" % flag)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     except UsageError as e:

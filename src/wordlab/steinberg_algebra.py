@@ -16,6 +16,7 @@
 # complexity), so the same algebra works over any of the words built here.
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .substitution_word import integer_root, recurrence_function, subst_factor_set
@@ -41,24 +42,20 @@ class SubstLanguage:
         return self.levels.complexity(n)
 
 
-def _completions(lang, lo, hi, fixed):
-    """All language words on [lo, hi] consistent with the fixed positions."""
-    if all(p in fixed for p in range(lo, hi + 1)):
-        word = "".join(fixed[p] for p in range(lo, hi + 1))
-        return [word] if lang.contains(word) else []
-    out = [""]
-    for pos in range(lo, hi + 1):
-        want = fixed.get(pos)
-        nxt = []
-        for prefix in out:
-            for ch in ((want,) if want else lang.alphabet):
-                cand = prefix + ch
-                if lang.contains(cand):
-                    nxt.append(cand)
-        out = nxt
-        if not out:
-            break
-    return out
+def _completions(lang, lo, hi, l, pat):
+    """All language words on [lo, hi] carrying pat at l, in lexicographic
+    order: pat grows leftward to lo, then rightward to hi, letter by letter,
+    and every step keeps only the language words."""
+    if l == lo and len(pat) == hi - lo + 1:
+        return [pat] if lang.contains(pat) else []
+    out = [pat]
+    for _ in range(l - lo):
+        out = [ch + v for v in out for ch in lang.alphabet
+               if lang.contains(ch + v)]
+    for _ in range(hi - l - len(pat) + 1):
+        out = [v + ch for v in out for ch in lang.alphabet
+               if lang.contains(v + ch)]
+    return sorted(out)
 
 
 class AlgebraElement:
@@ -81,7 +78,15 @@ class AlgebraElement:
                 self.terms[key] = c
 
     def _c(self, x):
-        return int(x) % self.char if self.char else Fraction(x)
+        p = self.char
+        if not p:
+            return x if isinstance(x, Fraction) else Fraction(x)
+        if isinstance(x, int):
+            return x % p
+        x = Fraction(x)                        # num/den -> num * den^-1 mod p
+        if x.denominator % p == 0:
+            raise ValueError("%s has no value mod %d" % (x, p))
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def is_zero(self):
         return not self.terms
@@ -173,16 +178,22 @@ def _term_mul(lang, t1, t2):
     d1, lo1, p1 = t1
     d2, lo2, p2 = t2
     d = d1 + d2
-    fixed = {lo2 + i: ch for i, ch in enumerate(p2)}
-    for i, ch in enumerate(p1):                # T^{-d2}(A): window shifts +d2
-        pos = lo1 + d2 + i
-        if fixed.get(pos, ch) != ch:
-            return []                          # conflicting cylinder: empty
-        fixed[pos] = ch
-    if not fixed:
-        return [(d, 0, "")]
-    lo, hi = min(fixed), max(fixed)
-    return [(d, lo, v) for v in _completions(lang, lo, hi, fixed)]
+    lo1 += d2                                  # T^{-d2}(A): window shifts +d2
+    if not (p1 and p2):
+        lo, pat = (lo1, p1) if p1 else (lo2, p2)
+        if not pat:
+            return [(d, 0, "")]
+        return [(d, lo, pat)] if lang.contains(pat) else []
+    if lo2 < lo1:                              # p1 starts first
+        lo1, p1, lo2, p2 = lo2, p2, lo1, p1
+    if lo2 > lo1 + len(p1):                    # a gap: fill it from the left
+        return [(d, lo1, v + p2) for v in _completions(lang, lo1, lo2 - 1, lo1, p1)
+                if lang.contains(v + p2)]
+    overlap = p1[lo2 - lo1:lo2 - lo1 + len(p2)]
+    if overlap != p2[:len(overlap)]:
+        return []                              # conflicting cylinder: empty
+    pat = p1 + p2[len(overlap):]
+    return [(d, lo1, pat)] if lang.contains(pat) else []
 
 
 def convolve(f, g, canonical=True):
@@ -235,8 +246,7 @@ def canonicalize(f):
     hi = max(k[1] + len(k[2]) - 1 for k in pats)
     expanded = {}
     for (d, l, pat), c in terms.items():
-        fixed = {l + i: ch for i, ch in enumerate(pat)}
-        for v in _completions(lang, lo, hi, fixed):
+        for v in _completions(lang, lo, hi, l if pat else lo, pat):
             key = (d, lo, v)
             s = f._c(expanded.get(key, 0) + c)
             if s:
@@ -249,29 +259,49 @@ def canonicalize(f):
         nonlocal terms, lo, hi
         if not terms or hi < lo:
             return False
+        right = side == "right"
         groups = {}
         for (d, l, v), c in terms.items():
-            stem = v[:-1] if side == "right" else v[1:]
-            groups.setdefault((d, stem), {})[v[-1] if side == "right" else v[0]] = c
+            stem, ch = (v[:-1], v[-1]) if right else (v[1:], v[0])
+            groups.setdefault((d, stem), {})[ch] = c
+        for by_letter in groups.values():
+            coeffs = iter(by_letter.values())
+            first = next(coeffs)
+            if any(c != first for c in coeffs):
+                return False
         # every term is a language word: the terms were filtered and expanded
         # through lang.contains, and trimming keeps factors of them, which the
-        # factorial language holds too.  So the letters present in a group
-        # extend its stem, and only the absent ones need a query.
-        for (d, stem), by_letter in groups.items():
-            if len(set(by_letter.values())) != 1:
+        # factorial language holds too.  So when a degree's stems number
+        # p(m), they are all of L(m), and their extensions on this side are
+        # the p(m+1) words of L(m+1), each over exactly one stem.  The terms
+        # of that degree are some of those words, so its groups are complete
+        # iff its terms number p(m+1).  In the other degrees the letters
+        # present in a group extend its stem, and only the absent ones need
+        # a query.
+        m = hi - lo
+        p_m = lang.complexity(m)
+        counted = {d for d, k in Counter(d for d, _ in groups).items()
+                   if k == p_m}
+        if counted:
+            words = Counter(d for d, _, _ in terms)
+            p_next = lang.complexity(m + 1)
+            if any(words[d] != p_next for d in counted):
                 return False
+        for (d, stem), by_letter in groups.items():
+            if d in counted:
+                continue
             for ch in lang.alphabet:
                 if ch not in by_letter and lang.contains(
-                        stem + ch if side == "right" else ch + stem):
+                        stem + ch if right else ch + stem):
                     return False
-        new_lo = lo if side == "right" else lo + 1
+        new_lo = lo if right else lo + 1
         out = {}
         for (d, stem), by_letter in groups.items():
             key = (d, 0, "") if stem == "" else (d, new_lo, stem)
             out[key] = next(iter(by_letter.values()))
         terms = out
         lo = new_lo
-        hi = hi - 1 if side == "right" else hi
+        hi = hi - 1 if right else hi
         return True
 
     progress = True
@@ -345,7 +375,7 @@ def witness_product(f, l=None):
     hull_hi = max([k[1] + len(k[2]) - 1 for k in pats], default=-1)
     found = None
     for k in f.degrees():
-        for v in (_completions(lang, hull_lo, hull_hi, {})
+        for v in (_completions(lang, hull_lo, hull_hi, hull_lo, "")
                   if hull_hi >= hull_lo else [""]):
             total = f._c(0)
             A = []
@@ -365,9 +395,7 @@ def witness_product(f, l=None):
     k, v, A, total = found
 
     # extend the sample to [-n, n] and embed it in the master word
-    fixed = {} if hull_hi < hull_lo else {hull_lo + i: ch
-                                          for i, ch in enumerate(v)}
-    xi_win = _completions(lang, -n, n, fixed)[0]
+    xi_win = _completions(lang, -n, n, hull_lo if v else -n, v)[0]
     AB = levels.AB(l + 1)
     host = "AB"
     pos = AB.find(xi_win)

@@ -112,6 +112,27 @@ def test_config_defaults_and_override(tmp_path, capsys):
     assert code == 2 and out == "" and "cannot read config" in err
 
 
+def test_config_supplies_required_flag(tmp_path, capsys):
+    cfg = tmp_path / "wl.cfg"
+    cfg.write_text("n=1..5\n")
+    code, out, err = run(capsys, "subst", "--gamma", "2", "complexity",
+                         "--config", str(cfg))
+    assert code == 0, err
+    _, want, _ = run(capsys, "subst", "--gamma", "2", "complexity",
+                     "--n", "1..5")
+    assert out == want
+    # missing from the command line and from the config: still exit 2
+    cfg.write_text("seed=3\n")
+    for argv, flag in ((("xk", "complexity"), "--n"),
+                       (("subst", "complexity"), "--n"),
+                       (("subst", "recurrence"), "--n"),
+                       (("ergodic", "intervals"), "--u"),
+                       (("ergodic", "decompose"), "--word")):
+        for config in ((), ("--config", str(cfg))):
+            code, out, err = run(capsys, *argv, *config)
+            assert code == 2 and out == "" and flag in err, (argv, err)
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "out.csv"
     code, out, _ = run(capsys, "subst", "--gamma", "2", "densities",

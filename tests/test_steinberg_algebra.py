@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -18,7 +19,11 @@ from wordlab.steinberg_algebra import (
     witness_product,
     zero,
 )
-from wordlab.substitution_word import SubstParams, build_substitution_levels
+from wordlab.substitution_word import (
+    SubstParams,
+    build_substitution_levels,
+    subst_factor_set,
+)
 
 
 class XkLanguage:
@@ -34,6 +39,54 @@ class XkLanguage:
 
     def complexity(self, n):
         return self.oracle.complexity(n)
+
+
+class QueryOnlyLanguage:
+    """A language whose complexity matches no count, so that canonicalize
+    decides every trim by membership queries: the oracle for the trims that
+    p(n) counts decide.  Counts its queries."""
+
+    def __init__(self, lang):
+        self.lang = lang
+        self.alphabet = lang.alphabet
+        self.calls = 0
+
+    def contains(self, u):
+        self.calls += 1
+        return self.lang.contains(u)
+
+    def complexity(self, n):
+        return -1
+
+
+class CountedLanguage(QueryOnlyLanguage):
+    """The same wrapper with the language's own complexity."""
+
+    def complexity(self, n):
+        return self.lang.complexity(n)
+
+
+class CountingLanguage(SubstLanguage):
+    """SubstLanguage that counts its membership queries."""
+
+    def __init__(self, levels):
+        super().__init__(levels)
+        self.calls = 0
+
+    def contains(self, u):
+        self.calls += 1
+        return super().contains(u)
+
+
+def trims_match_queries(lang, elements):
+    """Assert that canonicalize gives equal terms with count-decided and
+    with query-decided trims; return the queries each made."""
+    counted, queried = CountedLanguage(lang), QueryOnlyLanguage(lang)
+    for f in elements:
+        got = canonicalize(AlgebraElement(counted, f.terms, f.char))
+        want = canonicalize(AlgebraElement(queried, f.terms, f.char))
+        assert got.terms == want.terms, f
+    return counted.calls, queried.calls
 
 
 @dataclass(frozen=True)
@@ -191,6 +244,50 @@ def test_prime_field(lang):
     f = 5 * proj["a"]
     assert f.is_zero()
     assert convolve(gens5["T"], gens5["Tinv"]) == one
+    # a fraction num/den stands for num * den^-1 mod p
+    half = AlgebraElement(lang, {(0, 0, "a"): Fraction(1, 2)}, char=5)
+    assert half.terms == {(0, 0, "a"): 3}              # 2 * 3 = 1 mod 5
+    assert (Fraction(1, 2) * proj["a"]).terms == {(0, 0, "a"): 3}
+    assert (Fraction(-1, 2) * proj["a"]).terms == {(0, 0, "a"): 2}
+    assert 2 * half == proj["a"]
+    with pytest.raises(ValueError):
+        AlgebraElement(lang, {(0, 0, "a"): Fraction(2, 5)}, char=5)
+    with pytest.raises(ValueError):
+        Fraction(1, 10) * proj["a"]
+
+
+def test_count_decided_trims_match_queries(lang):
+    rng = random.Random(5)
+    host = lang.levels.AB(3)
+    elements = []
+    for i in range(400):
+        char = 5 if i % 4 == 0 else None
+        f, g = rand_elem(lang, rng, host, char), rand_elem(lang, rng, host, char)
+        elements += [f, convolve(f, g, canonical=False)]
+    counted, queried = trims_match_queries(lang, elements)
+    assert counted < queried                  # the count path was taken
+
+
+def test_count_decided_trims_match_queries_on_unit_sum(lang):
+    # the l = 0 sum of criterion 11, whole and with one word dropped or
+    # doubled, so that the count decides both ways
+    words = sorted(subst_factor_set(lang.levels, 7 * lang.levels.N[1]))
+    whole = {(0, 0, u): 1 for u in words}
+    dropped = dict(whole)
+    del dropped[(0, 0, words[17])]
+    doubled = dict(whole)
+    doubled[(0, 0, words[17])] = 2
+    sums = [AlgebraElement(lang, t) for t in (whole, dropped, doubled)]
+    counted, queried = trims_match_queries(lang, sums)
+    assert canonicalize(sums[0]).terms == {(0, 0, ""): 1}
+    assert len(canonicalize(sums[1]).terms) > 1
+    assert counted < queried
+
+
+def test_unit_decomposition_query_count(lang):
+    counting = CountingLanguage(lang.levels)
+    assert verify_unit_decomposition(counting, 1)["pass"]
+    assert counting.calls <= 6000
 
 
 def test_w_basis_dimension(lang):
@@ -211,6 +308,13 @@ def test_xk_language_adapter():
         s = s + p
     assert canonicalize(s) == gens["one"]
     assert w_basis_dimension(xl, 1)["dim"] == 3 * xl.complexity(3)
+    # the projection sum, and the sum of all length-3 cylinders with one
+    # coefficient changed, against query-decided trims
+    cyl3 = {(0, -1, "".join(u)): 1 for u in itertools.product("012", repeat=3)
+            if xl.contains("".join(u))}
+    cyl3[min(cyl3)] = 4
+    trims_match_queries(xl, [s, s - gens["proj"]["1"],
+                             AlgebraElement(xl, cyl3)])
 
 
 def test_witness_product(lang, gens):
