@@ -45,9 +45,10 @@ class SubstLanguage:
 def _completions(lang, lo, hi, l, pat):
     """All language words on [lo, hi] carrying pat at l, in lexicographic
     order: pat grows leftward to lo, then rightward to hi, letter by letter,
-    and every step keeps only the language words."""
+    and every step keeps only the language words.  A pat that already spans
+    [lo, hi] is returned as it is: callers pass only language words there."""
     if l == lo and len(pat) == hi - lo + 1:
-        return [pat] if lang.contains(pat) else []
+        return [pat]
     out = [pat]
     for _ in range(l - lo):
         out = [ch + v for v in out for ch in lang.alphabet
@@ -213,7 +214,7 @@ def convolve(f, g, canonical=True):
                 else:
                     out.pop(key, None)
     res = AlgebraElement(f.lang, out, f.char)
-    return canonicalize(res) if canonical else res
+    return _normal_form(res) if canonical else res
 
 
 def convolve_many(factors, canonical=False):
@@ -228,10 +229,9 @@ def canonicalize(f):
     then the window is trimmed greedily at both ends whenever every pattern
     group carries all language-consistent extensions with equal coefficients.
     Idempotent; equal elements get equal term maps."""
-    lang, char = f.lang, f.char
     terms = {}
     for (d, lo, pat), c in f.terms.items():
-        if pat and not lang.contains(pat):
+        if pat and not f.lang.contains(pat):
             continue                           # not in the language: empty set
         key = (d, 0, "") if not pat else (d, lo, pat)
         s = f._c(terms.get(key, 0) + c)
@@ -239,6 +239,16 @@ def canonicalize(f):
             terms[key] = s
         else:
             terms.pop(key, None)
+    return _normal_form(AlgebraElement(f.lang, terms, f.char))
+
+
+def _normal_form(f):
+    """canonicalize without its language filter, for an element whose
+    patterns are all language words and whose full-space terms are keyed
+    (d, 0, ""), as the basis rule's products are: the filter would keep
+    every term as it is."""
+    lang, char = f.lang, f.char
+    terms = f.terms
     pats = [k for k in terms if k[2]]
     if not pats:
         return AlgebraElement(lang, terms, char)
@@ -496,7 +506,8 @@ def verify_unit_decomposition(lang, l):
     if not (max_left <= 12 * N and max_right <= 9 * N):
         raise AssertionError("filtration degrees %d, %d exceed 12 N, 9 N"
                              % (max_left, max_right))
-    total = canonicalize(AlgebraElement(lang, total))
+    # every u is a language word: its chain product is I_u, not empty
+    total = _normal_form(AlgebraElement(lang, total))
     ok = total.terms == one.terms
     if not ok:
         raise AssertionError("sum of I_u terms does not canonicalize to 1")

@@ -6,11 +6,13 @@
 #   occurrences are counted with overlaps
 #   all frequencies are exact rationals (fractions.Fraction)
 #
-# One exact counting backend lives here: a sorted-window census (suffix
-# sorting by prefix doubling from packed letter codes, numpy) that gives,
+# One exact counting backend lives here: a sorted-window census that gives,
 # for every length n <= cap, the number of distinct windows and the
-# ascending occurrence positions of each.  It checks the byte budget before
-# it allocates.
+# ascending occurrence positions of each.  It sorts suffixes by prefix
+# doubling from packed letter codes (numpy): every round is one value sort,
+# the last round reaches exactly cap, only the current rank level is kept,
+# and the lcp is computed only where the rank changes.  It checks the byte
+# budget before it allocates.
 
 import os
 from dataclasses import dataclass, field
@@ -160,36 +162,65 @@ def sliding_containment_scan(host, K, patterns):
 # the cap-truncated suffixes; a length-n factor corresponds to a maximal run
 # of suffixes sharing their first n characters, so
 #     count(n) = #{ i : lcp[i] < n <= vlen[i] }
-# with lcp[i] the (capped) common prefix of sa[i-1], sa[i] (lcp[0] = -1) and
-# vlen[i] the separator-free run length starting at sa[i], capped at cap.
+# with lcp[i] the (capped) common prefix of sa[i-1], sa[i] (lcp[0] = 0, read
+# as -1) and vlen[i] the separator-free run length starting at sa[i], capped
+# at cap.
 #
 # The sort is Manber-Myers prefix doubling started from packed codes: the
 # host's sigma letters are coded 1..sigma in letter order, 0 past the end, in
 # b = sigma.bit_length() bits, so each position's next m = min(cap, 64 // b)
-# letters fit one uint64 (m = 32 for three letters).  One stable sort of
-# those codes ranks every m-letter window, so doubling starts at k = m, not
-# at k = 1, and runs while k < cap.  The rank levels k = m 2^j <= cap are
-# kept for the lcp, which descends them in steps m 2^j and then reads the
-# remaining fewer-than-m common letters off the packed codes.
+# letters fit one uint64 (m = 32 for three letters).  Level 0 value-sorts
+# those codes and ranks every m-letter window by searchsorted into the
+# distinct ones.  A round from rank_k to rank_{k+s} needs no argsort: the
+# previous order shifted by s lists the positions by rank_k(i+s), those whose
+# i+s is past the end first, and one in-place sort of the int64 values
+# rank_k(i) << 31 | place (place = index in that list) orders them by
+# (rank_k(i), rank_k(i+s)).  Rounds double k while 2k <= cap; the last takes
+# s = cap - k, so its two overlapping k-windows cover exactly [i, i+cap), and
+# sorted neighbours of equal rank have lcp = cap.  Only the current rank level
+# is kept.  A window that runs past the host end holds the end code 0, which
+# no letter has, so its rank is unique from level 0 on.  The exact lcp is
+# taken only at the block boundaries, the neighbours of different rank, by
+# comparing m-letter codes packed again after the doubling.
 
-# work arrays of 8 bytes a host position alive next to the rank levels at
-# the build's peak, a sort round: the packed codes, the sort key, the order,
-# and the sort's buffer with the int32 dense-rank buffer; one more covers the
-# encoded host and the lcp pass's chunk temporaries
-_CENSUS_WORK_ARRAYS = 5
+# bytes a host position takes at the build's peak: a doubling round holds
+# the int32 rank level and order, the int64 sort values, a bool boundary
+# flag and the encoded host (4 + 4 + 8 + 1 + 1 = 18); level 0 (the packed
+# codes, their sorted copy, the flags, the host) and the lcp pass (the packed
+# codes, int32 sa and lcp, the flags, the host) hold as much.  The chunked
+# temporaries take under 80 bytes a chunk entry: under 2 bytes a host
+# position, or 80 KiB at the least chunk
+_CENSUS_BYTES_PER_CHAR = 20
+_CENSUS_SLACK = 2**17
 
 
-def _pack_windows(codes, m, bits):
-    """uint64 array whose entry i holds codes[i .. i+m-1], first letter in
-    the high bits, for i = 0 .. len(codes) - m.  Each shift-OR widens the
-    windows from w to min(2w, m) letters; when m is not a power of two the
-    last step overlaps, and the overlapping bits hold the same letters."""
-    packed, w = codes, 1
+def _pack_windows(arr, lut, m, bits, length):
+    """uint64 array of `length` entries whose entry i holds the codes lut[]
+    of arr[i .. i+m-1], first letter in the high bits, code 0 past the end
+    of arr (length >= len(arr) + m - 1).  Each shift-OR widens the windows
+    from w to min(2w, m) letters in place, a chunk at a time from the left,
+    so a chunk reads only entries that still hold w-letter windows; when m
+    is not a power of two the last step overlaps, and the overlapping bits
+    hold the same letters.  Entries past the end stay 0, which is right."""
+    packed = np.zeros(length, dtype=np.uint64)
+    for lo, hi in _spans(len(arr)):
+        packed[lo:hi] = lut[arr[lo:hi]]
+    w = 1
     while w < m:
         s = min(w, m - w)
-        packed = (packed[:-s] << np.uint64(bits * s)) | packed[s:]
+        shift = np.uint64(bits * s)
+        for lo, hi in _spans(len(arr)):
+            packed[lo:hi] = (packed[lo:hi] << shift) | packed[lo + s:hi + s]
         w += s
     return packed
+
+
+def _spans(L, start=0):
+    """The (lo, hi) chunks of range(start, L), a 64th of L but at least 1024
+    long: arrays of a host position are read a chunk at a time, so the
+    temporaries stay small beside them."""
+    step = max(L >> 6, 1024)
+    return [(lo, min(lo + step, L)) for lo in range(start, L, step)]
 
 
 class WindowCensus:
@@ -206,12 +237,17 @@ class WindowCensus:
         self.sa = sa
         self.lcp = lcp
         self.vlen = vlen
-        lcpc = np.minimum(lcp, vlen)
-        lcpc[0] = -1
-        add = np.bincount(lcpc + 1, minlength=cap + 2)
-        sub = np.bincount(vlen + 1, minlength=cap + 2)
+        # counts[n] = #{lcpc < n} - #{vlen < n}, valid for 0 <= n <= cap,
+        # with lcpc = min(lcp, vlen) and lcpc[0] = -1; bincount a chunk at a
+        # time, since it copies its input to int64
+        add = np.zeros(cap + 2, dtype=np.int64)
+        add[0] = 1
+        sub = np.zeros(cap + 2, dtype=np.int64)
+        for lo, hi in _spans(len(lcp)):
+            lcpc = np.minimum(lcp[max(lo, 1):hi], vlen[max(lo, 1):hi])
+            add[1:] += np.bincount(lcpc, minlength=cap + 1)
+            sub[1:] += np.bincount(vlen[lo:hi], minlength=cap + 1)
         counts = np.cumsum(add - sub)
-        # counts[n] = #{lcpc < n} - #{vlen < n}, valid for 0 <= n <= cap
         self.counts = counts[:cap + 1].astype(np.int64)
 
     def count(self, n):
@@ -245,7 +281,6 @@ class WindowCensus:
     def _build_numpy(host, cap, separators, max_bytes):
         arr = np.frombuffer(host.encode("latin1"), dtype=np.uint8)
         L = len(arr)
-        pad = cap + 1
         lut = np.zeros(256, dtype=np.uint64)
         seen = np.zeros(256, dtype=bool)
         seen[arr] = True
@@ -253,81 +288,131 @@ class WindowCensus:
         lut[seen] = np.arange(1, sigma + 1, dtype=np.uint64)
         bits = sigma.bit_length()
         m = min(cap, 64 // bits)
-        n_levels = (cap // m).bit_length()      # rank levels k = m 2^j <= cap
-        need = n_levels * (L + pad) * 4 + _CENSUS_WORK_ARRAYS * L * 8
+        # the per-char peak, the padding past the end (cap + 1 int32 ranks,
+        # cap uint64 codes) and the slack for the least chunk
+        need = _CENSUS_BYTES_PER_CHAR * L + 12 * (cap + 1) + _CENSUS_SLACK
         budget = max_bytes_budget(max_bytes)
         if need > budget:
             raise ValueError("budget: census of %d chars at cap %d needs about "
                              "%d bytes > %d" % (L, cap, need, budget))
+        if L + cap >= 2**31:
+            raise ValueError("census of %d chars at cap %d: positions past "
+                             "int32" % (L, cap))
+        place_bits = np.int64(31)
+        place_mask = np.int64(2**31 - 1)
+        fresh = np.empty(L, dtype=bool)     # fresh[t]: sorted t starts a rank
 
-        codes = np.zeros(L + m, dtype=np.uint64)
-        codes[:L] = lut[arr]
-        packed = _pack_windows(codes, m, bits)  # L + 1 entries, packed[L] = 0
+        # level 0: the sorted distinct m-letter codes, compacted in place,
+        # and each position's rank among them, written into the packed
+        # codes' buffer behind the codes still unread; past the end unique
+        # negative ranks, so comparisons there fail
+        packed = _pack_windows(arr, lut, m, bits, L + cap)
+        codes = np.sort(packed[:L])
+        u = 1
+        for lo, hi in _spans(L, 1):
+            part = codes[lo:hi][codes[lo:hi] != codes[lo - 1:hi - 1]]
+            codes[u:u + len(part)] = part
+            u += len(part)
+        codes = codes[:u]
+        level0 = packed.view(np.int32)
+        for lo, hi in _spans(L):
+            level0[lo:hi] = np.searchsorted(codes, packed[lo:hi])
         del codes
-        dense = np.empty(L, dtype=np.int32)
-        # sorted neighbours are compared a chunk at a time, a sixteenth of
-        # the host, so the temporaries stay small beside the rank levels
-        chunk = max(L >> 4, 4096)
+        rank = np.empty(L + cap + 1, dtype=np.int32)
+        rank[:L] = level0[:L]
+        rank[L:] = -np.arange(1, cap + 2, dtype=np.int32)
+        del packed, level0
 
-        def ranks(order, key):
-            # the level's rank array: dense ranks of key, then unique
-            # negative ranks past the end, so comparisons there fail; the
-            # sorted keys are read a chunk at a time
-            dense[:1] = 0
-            for lo in range(0, L - 1, chunk):
-                skey = key[order[lo:lo + chunk + 1]]
-                np.not_equal(skey[1:], skey[:-1], out=dense[lo + 1:lo + len(skey)])
-            np.cumsum(dense, out=dense)
-            r = np.empty(L + pad, dtype=np.int32)
-            r[order] = dense
-            r[L:] = -np.arange(1, pad + 1, dtype=np.int32)
-            return r
+        def sort_ranks(by):
+            # reorder the positions by[place] by (rank, place) with one sort
+            # of the values rank << 31 | place, and mark in fresh where a new
+            # rank starts.  The int32 order is written into the sorted
+            # values' own buffer, behind the values still unread, then back
+            # into by
+            key = np.empty(L, dtype=np.int64)
+            for lo, hi in _spans(L):
+                part = key[lo:hi]
+                part[:] = rank[by[lo:hi]]
+                part <<= place_bits
+                part |= np.arange(lo, hi)
+            key.sort()
+            for lo, hi in _spans(L, 1):
+                np.not_equal(key[lo:hi] >> place_bits, key[lo - 1:hi - 1] >> place_bits,
+                             out=fresh[lo:hi])
+            out = key.view(np.int32)
+            for lo, hi in _spans(L):
+                out[lo:hi] = by[key[lo:hi] & place_mask]
+            by[:] = out[:L]
 
-        # level 0 ranks the m-letter windows; the end code 0 sorts below
-        # every letter, as the negative padding ranks do
-        order = np.argsort(packed[:L], kind="stable")
-        levels = [ranks(order, packed)]
+        # the level-0 order: ties by position
+        order = np.arange(L, dtype=np.int32)
+        sort_ranks(order)
         k = m
-        while k < cap:
-            key = levels[-1][:L].astype(np.int64)
-            key += pad
-            key <<= np.int64(33)
-            key += levels[-1][k:L + k]
-            key += pad
-            del order
-            order = np.argsort(key, kind="stable")
-            k <<= 1
-            if k <= cap:
-                levels.append(ranks(order, key))
-            del key
-        del dense
+        while k < cap and not fresh.all():
+            s = min(k, cap - k)
+            # the positions by rank_k(i+s): i+s past the end first, then the
+            # order shifted by s, compacted in place from the right
+            top = L
+            for lo, hi in reversed(_spans(L)):
+                part = order[lo:hi][order[lo:hi] >= s] - s
+                order[top - len(part):top] = part
+                top -= len(part)
+            order[:top] = np.arange(L - top, L, dtype=np.int32)
+            sort_ranks(order)
+            # equal rank_k(i): a new rank where rank_k(i+s) differs, then the
+            # dense ranks in sorted order replace rank_k
+            for lo, hi in _spans(L, 1):
+                fresh[lo:hi] |= rank[order[lo:hi] + s] != rank[order[lo - 1:hi - 1] + s]
+            base = -1
+            for lo, hi in _spans(L):
+                dense = np.cumsum(fresh[lo:hi], dtype=np.int32)
+                dense += base
+                rank[order[lo:hi]] = dense
+                base = int(dense[-1])
+            k += s
+        del rank
         sa = order
-        # capped lcp of adjacent sorted suffixes, a chunk of pairs at a time:
-        # descend the rank levels in steps m 2^j (a step past cap only
-        # overshoots an lcp that is capped anyway), then read the common
-        # leading letters (fewer than m) off the packed codes, where the
-        # first differing letter t sits in bits [b(m-1-t), b(m-t)); equal
-        # codes give top = -1, so m letters; packed[L] = 0 stops a window at
-        # the host end
+
+        # capped lcp of the sorted neighbours of different rank (equal rank
+        # means lcp = cap), a chunk at a time: step through both windows m
+        # letters at a time while the codes agree, then read the common
+        # leading letters (fewer than m) off the first differing codes, where
+        # letter t sits in bits [b(m-1-t), b(m-t)); the end code 0 stops a
+        # window at the host end
+        packed = _pack_windows(arr, lut, m, bits, L + cap)
         pow2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
-        lcp = np.zeros(L, dtype=np.int32)
-        for lo in range(1, L, chunk):
-            x = sa[lo:lo + chunk]
-            y = sa[lo - 1:lo - 1 + len(x)]
-            h = np.zeros(len(x), dtype=np.int64)
-            for j in range(n_levels - 1, -1, -1):
-                eq = levels[j][x + h] == levels[j][y + h]
-                np.add(h, m << j, out=h, where=eq)
-            top = np.searchsorted(pow2, packed[x + h] ^ packed[y + h], side="right") - 1
-            h += m - 1 - top // bits
-            lcp[lo:lo + len(x)] = np.minimum(h, cap)
-        del levels, packed
+        lcp = np.full(L, cap, dtype=np.int32)
+        lcp[0] = 0
+        for lo, hi in _spans(L, 1):
+            t = np.flatnonzero(fresh[lo:hi]) + lo
+            x, y = sa[t], sa[t - 1]
+            h = 0
+            while len(t) and h < cap:
+                d = packed[x + h] ^ packed[y + h]
+                hit = d != 0
+                msb = np.searchsorted(pow2, d[hit], side="right") - 1
+                lcp[t[hit]] = np.minimum(h + m - 1 - msb // bits, cap)
+                t, x, y = t[~hit], x[~hit], y[~hit]
+                h += m
+        del packed, fresh
+
+        vlen = np.empty(L, dtype=np.int32)
         if separators:
-            sep_pos = np.flatnonzero(np.isin(arr, np.frombuffer(separators.encode("latin1"), dtype=np.uint8)))
-            sep_pos = np.concatenate((sep_pos, [L]))
-            vlen = sep_pos[np.searchsorted(sep_pos, sa, side="left")]
-            vlen -= sa
+            # the int32 separator positions, then L
+            is_sep = np.zeros(256, dtype=bool)
+            is_sep[np.frombuffer(separators.encode("latin1"), dtype=np.uint8)] = True
+            at_sep = is_sep[arr]
+            stops = np.empty(np.count_nonzero(at_sep) + 1, dtype=np.int32)
+            stops[-1] = L
+            n_stops = 0
+            for lo, hi in _spans(L):
+                part = np.flatnonzero(at_sep[lo:hi]) + lo
+                stops[n_stops:n_stops + len(part)] = part
+                n_stops += len(part)
+            del at_sep
+            for lo, hi in _spans(L):
+                vlen[lo:hi] = stops[np.searchsorted(stops, sa[lo:hi])] - sa[lo:hi]
         else:
-            vlen = L - sa
+            np.subtract(L, sa, out=vlen)
         np.minimum(vlen, cap, out=vlen)
-        return sa, lcp, vlen.astype(np.int32)
+        return sa, lcp, vlen

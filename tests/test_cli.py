@@ -152,7 +152,7 @@ def test_max_bytes_floor(capsys):
 
 def test_census_budget_exits_2(capsys):
     # Rec(108) takes a cap-108 census of each 3,359,232-char level-4 master,
-    # estimated at 2 rank levels and 5 work arrays: about 161 MB > 64 MiB
+    # estimated at 20 bytes a char: about 67.3 MB > 64 MiB
     code, out, err = run(capsys, "subst", "--gamma", "2", "recurrence",
                          "--n", "108", "--max-bytes", "67108864")
     assert code == 2 and out == ""

@@ -287,7 +287,7 @@ def test_count_decided_trims_match_queries_on_unit_sum(lang):
 def test_unit_decomposition_query_count(lang):
     counting = CountingLanguage(lang.levels)
     assert verify_unit_decomposition(counting, 1)["pass"]
-    assert counting.calls <= 6000
+    assert counting.calls <= 3600
 
 
 def test_w_basis_dimension(lang):

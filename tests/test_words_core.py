@@ -143,11 +143,59 @@ def test_window_census_blocks_are_occurrence_sets():
                 assert b.tolist() == occurrence_positions(w, host)
 
 
+def _slice_census(host, cap, seps):
+    """Oracle for the census arrays: a plain sort of the slices
+    host[i:i+cap], ties by position; lcp[t] the common prefix of sorted
+    neighbours (0 at t = 0), vlen[t] the separator-free run at sa[t]."""
+    sa = sorted(range(len(host)), key=lambda i: (host[i:i + cap], i))
+    lcp = [0]
+    for a, b in zip(sa, sa[1:]):
+        u, v = host[a:a + cap], host[b:b + cap]
+        h = 0
+        while h < min(len(u), len(v)) and u[h] == v[h]:
+            h += 1
+        lcp.append(h)
+    vlen = []
+    for i in sa:
+        j = i
+        while j < len(host) and j - i < cap and host[j] not in seps:
+            j += 1
+        vlen.append(j - i)
+    return sa, lcp, vlen
+
+
+def test_window_census_arrays_match_slice_sort():
+    # three letters and "|" take 3 bits, so m = 21 letters a code; one
+    # letter, m = 64.  Caps below and at m, at m 2^j, strictly between two
+    # doubling steps (the exact-cap last round), hosts shorter than a round's
+    # shift, and separators at both ends
+    rng = random.Random(21)
+    cases = []
+    for letters, caps in (("abc|", (5, 20, 21, 42, 84, 30, 63, 100)),
+                          ("a", (1, 63, 64, 128, 100, 200))):
+        for cap in caps:
+            for size in (1, 15, 40, 150):
+                host = "".join(rng.choice(letters) for _ in range(size))
+                cases.append((host, cap))
+                cases.append(("|" + host + "|", cap))
+    for host, cap in cases:
+        c = WindowCensus(host, cap, separators="|")
+        sa, lcp, vlen = _slice_census(host, cap, "|")
+        assert c.sa.tolist() == sa, (host, cap)
+        assert c.lcp.tolist() == lcp, (host, cap)
+        assert c.vlen.tolist() == vlen, (host, cap)
+        for n in range(1, cap + 1):
+            windows = sorted(set(host[i:i + n] for i in range(len(host) - n + 1)
+                                 if "|" not in host[i:i + n]))
+            assert [b.tolist() for b in c.blocks(n)] == \
+                [occurrence_positions(w, host) for w in windows], (host, cap, n)
+
+
 def _census_need(host, cap):
-    # the census's byte estimate: rank levels k = m 2^j <= cap of L + cap + 1
-    # int32 ranks, plus five int64 work arrays of L entries
-    m = min(cap, 64 // len(set(host)).bit_length())
-    return (cap // m).bit_length() * (len(host) + cap + 1) * 4 + 5 * len(host) * 8
+    # the census's byte estimate: 20 bytes a host char (18 in arrays at the
+    # peak, under 2 in chunked temporaries), cap + 1 int32 ranks and cap
+    # uint64 codes past the end, and 128 KiB for the least chunk
+    return 20 * len(host) + 12 * (cap + 1) + 2**17
 
 
 def _traced_peak(fn):
@@ -161,8 +209,8 @@ def _traced_peak(fn):
 
 def test_window_census_budget_checked_before_allocating():
     host = "01" * 50_000
-    need = _census_need(host, 100)          # m = 32: levels k = 32, 64
-    assert need == 2 * 100_101 * 4 + 5 * 100_000 * 8
+    need = _census_need(host, 100)
+    assert need == 20 * 100_000 + 12 * 101 + 2**17
     assert WindowCensus(host, 100, max_bytes=need).count(100) == 2
 
     def refused():
@@ -180,6 +228,9 @@ def test_window_census_estimate_bounds_its_peak():
         host = "".join(rng.choice(letters) for _ in range(100_000))
         peak = _traced_peak(lambda: WindowCensus(host, cap, separators=seps))
         assert peak < _census_need(host, cap), (letters, cap, peak)
+    host = "".join(rng.choice("ab|") for _ in range(1_000_000))
+    peak = _traced_peak(lambda: WindowCensus(host, 1188, separators="|"))
+    assert peak < _census_need(host, 1188), peak
 
 
 def test_window_census_numpy_path():
