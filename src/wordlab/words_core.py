@@ -301,6 +301,7 @@ class WindowCensus:
         place_bits = np.int64(31)
         place_mask = np.int64(2**31 - 1)
         fresh = np.empty(L, dtype=bool)     # fresh[t]: sorted t starts a rank
+        fresh[0] = True
 
         # level 0: the sorted distinct m-letter codes, compacted in place,
         # and each position's rank among them, written into the packed
@@ -348,7 +349,7 @@ class WindowCensus:
         order = np.arange(L, dtype=np.int32)
         sort_ranks(order)
         k = m
-        while k < cap and not fresh.all():
+        while k < cap:
             s = min(k, cap - k)
             # the positions by rank_k(i+s): i+s past the end first, then the
             # order shifted by s, compacted in place from the right

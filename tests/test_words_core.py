@@ -178,6 +178,9 @@ def test_window_census_arrays_match_slice_sort():
                 host = "".join(rng.choice(letters) for _ in range(size))
                 cases.append((host, cap))
                 cases.append(("|" + host + "|", cap))
+    # a round with s = k at cap >= 4m: the least suffix's rank must not meet
+    # the negative ranks past the end
+    cases.append(("a" * 200, 256))
     for host, cap in cases:
         c = WindowCensus(host, cap, separators="|")
         sa, lcp, vlen = _slice_census(host, cap, "|")
