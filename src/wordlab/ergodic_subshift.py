@@ -107,10 +107,48 @@ def build_c_sequence(params):
 class ErgodicLevel:
     k: int
     W: list                       # sorted when the policy is lexicographic
-    C: list = None                # chosen subset, None at the deepest level
+    C: list = None                # the chosen subset C(k)
     queue_head: str = None
     queue_len: int = 0
     consumed: bool = False
+
+
+# bytes a listed word takes beyond its letters: the 49-byte str header and
+# its 8-byte list slot
+_LISTED_WORD_BYTES = 57
+
+
+def _words_bytes(count, length):
+    return count * (length + _LISTED_WORD_BYTES)
+
+
+class DeepestLevel:
+    """Level K, whose words W(K) = W(K-1) C(K-1) are not built with the
+    levels: the verifiers read W(K-1) and C(K-1) only.  W is built on first
+    read, after the byte budget is checked, and kept; it cannot be set."""
+
+    C = None
+    consumed = False
+
+    def __init__(self, below, params, queue_head, queue_len):
+        self.k = below.k + 1
+        self.queue_head = queue_head
+        self.queue_len = queue_len
+        self._below = below
+        self._params = params
+        self._W = None
+
+    @property
+    def W(self):
+        if self._W is None:
+            below = self._below
+            need = _words_bytes(len(below.W) * len(below.C), 2 ** self.k)
+            budget = max_bytes_budget(self._params.memory_budget)
+            if need > budget:
+                raise ValueError("budget: W(%d) needs about %d bytes (budget %d)"
+                                 % (self.k, need, budget))
+            self._W = sorted(w + c for w in below.W for c in below.C)
+        return self._W
 
 
 @dataclass
@@ -119,7 +157,6 @@ class ErgodicLevels:
     cseq: CSequence
     levels: list
     alphabet: str
-    queue: list = field(default_factory=list)
     run_log: list = field(default_factory=list)
 
     @property
@@ -136,7 +173,14 @@ class ErgodicLevels:
 
 
 def build_ergodic_levels(params, cseq=None):
-    """Levels 0..K with the queue bookkeeping and a JSON-ready run log."""
+    """Levels 0..K with the queue bookkeeping and a JSON-ready run log.
+
+    Levels 0..K-1 are built with their chosen C(k); level K is a
+    DeepestLevel.  The queue holds at least two words at every level (it
+    starts with the b >= 2 letters, and each step appends |W(k+1)| >= 2
+    words and consumes at most one), so the head at K is in it before W(K)
+    would be appended: W(K) never enters the queue, and only its size is
+    added to the queue length."""
     cseq = cseq or build_c_sequence(params)
     K = params.max_level
     b = params.f(1)
@@ -144,7 +188,7 @@ def build_ergodic_levels(params, cseq=None):
         raise ValueError("alphabet size %d exceeds 26 letters" % b)
     alphabet = string.ascii_lowercase[:b]
     budget = max_bytes_budget(params.memory_budget)
-    need = sum(cseq.N[max(k - 1, 0)] * 2 ** k for k in range(K + 1))
+    need = sum(_words_bytes(cseq.N[max(k - 1, 0)], 2 ** k) for k in range(K))
     if need > budget:
         raise ValueError("budget: levels need about %d bytes (budget %d)"
                          % (need, budget))
@@ -155,15 +199,9 @@ def build_ergodic_levels(params, cseq=None):
     queue = list(W) if lex else rng.sample(W, len(W))
     levels = []
     log = []
-    for k in range(K + 1):
+    for k in range(K):
         c_k = cseq.c[k]
         head = queue[0]
-        lv = ErgodicLevel(k=k, W=W, queue_head=head, queue_len=len(queue))
-        levels.append(lv)
-        log.append({"k": k, "c_k": c_k, "W_size": len(W),
-                    "queue_len": len(queue), "consumed_head": False})
-        if k == K:
-            break
         consume = (c_k == 1) and (2 ** k >= len(head))
         if consume:
             cand = sorted(v for v in W if v.startswith(head))
@@ -173,18 +211,24 @@ def build_ergodic_levels(params, cseq=None):
             C = [cand[0] if lex else rng.choice(cand)]
         else:
             C = sorted(W)[:c_k] if lex else sorted(rng.sample(W, c_k))
-        lv.C = C
-        lv.consumed = consume
-        log[-1]["consumed_head"] = consume
-        W = sorted(w + v for w in W for v in C)
-        if len(W) != len(lv.W) * c_k:
-            raise AssertionError("W(%d) lost words" % (k + 1))
-        appended = list(W) if lex else rng.sample(W, len(W))
-        queue = queue + appended
-        if consume:
-            queue = queue[1:]
+        levels.append(ErgodicLevel(k=k, W=W, C=C, queue_head=head,
+                                   queue_len=len(queue), consumed=consume))
+        log.append({"k": k, "c_k": c_k, "W_size": len(W),
+                    "queue_len": len(queue), "consumed_head": consume})
+        queue = queue[1:] if consume else queue
+        if k + 1 < K:
+            W = sorted(w + v for w in W for v in C)
+            if len(W) != len(levels[-1].W) * c_k:
+                raise AssertionError("W(%d) lost words" % (k + 1))
+            queue = queue + (list(W) if lex else rng.sample(W, len(W)))
+    # the queue after level K-1 consumed its head, with W(K) appended
+    size = len(W) * len(C)
+    levels.append(DeepestLevel(levels[-1], params, queue_head=queue[0],
+                               queue_len=len(queue) + size))
+    log.append({"k": K, "c_k": cseq.c[K], "W_size": size,
+                "queue_len": len(queue) + size, "consumed_head": False})
     return ErgodicLevels(params=params, cseq=cseq, levels=levels,
-                         alphabet=alphabet, queue=queue, run_log=log)
+                         alphabet=alphabet, run_log=log)
 
 
 @dataclass
@@ -466,7 +510,7 @@ def verify_sandwich(levels, k_max=None):
     report = {}
     for k in range(0, k_max + 1):
         row = rows[2 ** k - 1]
-        sizes = {"W_k": len(levels.W(k)), "W_k1": len(levels.W(k + 1))}
+        sizes = {"W_k": levels.cseq.N[max(k - 1, 0)], "W_k1": levels.cseq.N[k]}
         lower = f(2 ** k) <= sizes["W_k1"]
         upper = sizes["W_k"] <= row["count"] <= 2 ** k * sizes["W_k1"]
         report[k] = {"f_2k": f(2 ** k), "p_built": row["count"],

@@ -3,6 +3,8 @@
 # integer or rational comparisons unless a bound is stated inline.
 
 import functools
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -146,8 +148,14 @@ def test_criterion_07_spike(xk):
     # p(81) extensions, (t+1) s^2 decoded xi words, and the extensions that
     # had to leave the xi shape
     assert (rep["family_a"], rep["family_b"]) == (rep["p_n"], 28 * 65536)
-    assert rep["p_n"] == 29193 and rep["extensions_rechosen"] == 27
+    # extensions_rechosen is a property of the occurrence order in the
+    # search host, not of w
+    assert rep["p_n"] == 29193 and rep["extensions_rechosen"] == 1028
     assert rep["p_n3t"] <= 11 * 1769472
+    census = xk.census(162, d=6)
+    table = json.dumps([census.count(n) for n in range(1, 163)])
+    assert hashlib.sha256(table.encode()).hexdigest() \
+        == "260a4015359d659f24d7e3d314283b5d1d5feebfd7ae0cdf8d4fbb11402fee82"
     assert 82 <= rep["m"] <= 162
     assert 3 * rep["dp_m"] >= 65536
     assert rep["epsilon_ok"] and rep["pass"]

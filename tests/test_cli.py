@@ -323,6 +323,14 @@ PINNED_STDOUT = [
      "8028ef9364d5d9117f6fe499afed2f372c22d15a53e3374673b5d71eb59e358a"),
     (("algebra", "ret-bracket", "--n", "18"),
      "0b7028b9b517e44536c216505928bb4b59ac60664bf2b1311c3c1176951eab3a"),
+    (("ergodic", "build"),
+     "d4379ac2b9303c6134fb102b0015d80899241811567ebe68ed610071cab54268"),
+    (("ergodic", "--policy", "seeded-random", "build", "--seed", "7"),
+     "4498cde52de59207c66542b1518751b8f364ec150a89d1938c44ecd1aae7e643"),
+    # a factor of a W(8) word that lies in no W(7) word
+    (("ergodic", "decompose", "--word",
+      "aaaaaaaaaaaaaaaaabaaaaaaaaaaaaaaaaababaaaaaaaaab"),
+     "586adf24122b80b8f8156aa13ed91f3d053f4227c87d460b415ff2f0e6bce655"),
 ]
 
 
@@ -330,7 +338,9 @@ PINNED_STDOUT = [
                          ids=["decompose-identity-l1", "complexity-1188",
                               "ergodic-intervals-ab", "ergodic-intervals-a",
                               "growth-check-n2", "growth-build-nlogn",
-                              "recurrence-1-18", "ret-bracket-18"])
+                              "recurrence-1-18", "ret-bracket-18",
+                              "ergodic-build", "ergodic-build-seeded-random-7",
+                              "ergodic-decompose-level-8"])
 def test_pinned_stdout_bytes(capsys, argv, digest):
     import hashlib
     code, out, _ = run(capsys, *argv)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,32 @@ def test_word_sets_built_once_on_first_use(params):
     decompose_factor(lv, lv.W(4)[7][3:11])
     assert lv.Wsets is sets
     assert sets == [frozenset(l.W) for l in lv.levels]
+
+
+def test_deepest_level_built_on_first_read(params):
+    lv = build_ergodic_levels(params)
+    deep = lv.levels[lv.deepest]
+    assert vars(deep)["_W"] is None         # no W(K) list at set-up
+    assert [row["W_size"] for row in lv.run_log] == [2] + lv.cseq.N[:-1]
+    words = lv.W(8)
+    assert lv.W(8) is words
+    assert words == sorted(w + c for w in lv.W(7) for c in lv.levels[7].C)
+    with pytest.raises(AttributeError):
+        deep.W = words
+
+
+def test_deepest_level_budget_checked_before_allocating(params):
+    # levels 0..7 take about 160 KB; the 131,072 words of W(8) about 41 MB
+    lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8,
+                                            memory_budget=10 ** 6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^budget: W\\(8\\) needs"):
+            lv.W(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
 
 
 def test_decompose_random_windows(levels):

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from wordlab.xk_words import (
@@ -6,6 +9,7 @@ from wordlab.xk_words import (
     XkParams,
     build_xk_levels,
     checkpoints,
+    de_bruijn_pairs,
     missing_xi_pairs,
     spike_parameters,
     verify_xk_structure,
@@ -18,6 +22,14 @@ def xk_factor_set(oracle, n):
     explicit search host that covers n."""
     host = oracle.search_host(oracle._host_level_for(n))
     return frozenset(host[i:i + n] for i in range(len(host) - n + 1))
+
+
+def zero_joined_host(oracle, d):
+    """Oracle: w_1 0^{n_d} w_2 0^{n_d} ... w_s 0^{n_d} w_1 over the X_d words,
+    whose length-n windows for n <= n_d are exactly L_w(n)."""
+    lv = oracle.level(d)
+    zeros = "0" * lv.n
+    return zeros.join(lv.words) + zeros + lv.words[0]
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +186,56 @@ def test_params_validation():
         XkParams(r=1)
     with pytest.raises(ValueError):
         XkOracle(XkParams(r=2, max_level=5)).level(9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 256])
+def test_de_bruijn_pairs(k):
+    seq = de_bruijn_pairs(k)
+    pairs = Counter(zip(seq, seq[1:] + seq[:1]))
+    assert len(seq) == k * k
+    assert pairs == Counter((a, b) for a in range(k) for b in range(k))
+
+
+def test_squaring_hosts_match_zero_joined_hosts(oracle):
+    for d in (2, 3, 4):
+        assert oracle.level(d).phase == "squaring"
+        old, new = zero_joined_host(oracle, d), oracle.search_host(d)
+        assert len(new) < len(old)
+        for n in range(1, oracle.level(d).n + 1):
+            assert ({old[i:i + n] for i in range(len(old) - n + 1)}
+                    == {new[i:i + n] for i in range(len(new) - n + 1)}), (d, n)
+
+
+@pytest.fixture(scope="module")
+def oracle6():
+    return XkOracle(XkParams(r=2, max_level=6))
+
+
+def test_level6_contains_agrees_with_zero_joined_host(oracle6):
+    # contains sends every length in (81, 243] to the level-6 host
+    old = zero_joined_host(oracle6, 6)
+    assert len(oracle6.search_host(6)) == 10_761_715 and len(old) == 31_850_739
+    rng = random.Random(6)
+    factors = []
+    for _ in range(48):
+        n = rng.randint(163, 243)
+        i = rng.randrange(len(old) - n + 1)
+        factors.append(old[i:i + n])
+    # X_6 words with one zero on a side, among them the pairs at the two
+    # ends of the de Bruijn cycle: its first (a_0, a_0) and its closing
+    # (a_255, a_0)
+    x5, z81 = oracle6.level(5).words, "0" * 81
+    for i, j in [(0, 0), (255, 0), (0, 255)] + [(rng.randrange(256), rng.randrange(256))
+                                                for _ in range(8)]:
+        x = x5[i] + z81 + x5[j]
+        factors += ["0" + x[:242], x[1:] + "0"]
+    # in w, every X_k word with k <= 4 has a 0-run shorter than 82 on a side
+    non_factors = ["11"]
+    for k in (1, 2, 3, 4):
+        for a in rng.sample(oracle6.level(k).words, 2):
+            j = rng.randint(82, 243 - 82 - len(a))
+            non_factors.append("0" * j + a + "0" * rng.randint(82, 243 - j - len(a)))
+    assert all(u in old for u in factors)
+    assert not any(u in old for u in non_factors)
+    assert all(oracle6.contains(u) for u in factors)
+    assert not any(oracle6.contains(u) for u in non_factors)
