@@ -22,9 +22,9 @@
 
 import random
 import string
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -106,8 +106,8 @@ def build_c_sequence(params):
 @dataclass
 class ErgodicLevel:
     k: int
-    W: list                       # sorted when the policy is lexicographic
-    C: list = None                # the chosen subset C(k)
+    W: list                       # sorted
+    C: list = None                # the chosen subset C(k), sorted
     queue_head: str = None
     queue_len: int = 0
     consumed: bool = False
@@ -166,10 +166,18 @@ class ErgodicLevels:
     def W(self, k):
         return self.levels[k].W
 
-    @cached_property
-    def Wsets(self):
-        """Frozensets of every level's words, built on first use."""
-        return [frozenset(lv.W) for lv in self.levels]
+    def is_word(self, m, u):
+        """Is u in W(m)?  A bisect in the sorted W(m), or at the deepest
+        level in W(K-1) and C(K-1), so W(K) is never listed."""
+        if m < self.deepest:
+            return _in_sorted(self.W(m), u)
+        h = 2 ** (m - 1)
+        return _in_sorted(self.W(m - 1), u[:h]) and _in_sorted(self.levels[m - 1].C, u[h:])
+
+
+def _in_sorted(words, u):
+    i = bisect_left(words, u)
+    return words[i:i + 1] == [u]
 
 
 def build_ergodic_levels(params, cseq=None):
@@ -360,29 +368,29 @@ def verify_interval_nesting(levels, u):
 # ---------------------------------------------------------------------------
 # binary-expansion decomposition of factors
 
-def _prefix_blocks(v, Wsets):
+def _prefix_blocks(v, levels):
     """v a nonempty prefix of a W(t) word -> blocks of decreasing levels."""
     blocks = []
     while v:
         m = len(v).bit_length() - 1          # 2^m <= |v|
         head, v = v[:2 ** m], v[2 ** m:]
-        if head not in Wsets[m]:
+        if not levels.is_word(m, head):
             raise AssertionError("prefix block is not in W(%d)" % m)
         blocks.append((m, head))
     return blocks
 
 
-def _suffix_blocks(v, Wsets):
+def _suffix_blocks(v, levels):
     """v a nonempty suffix of a built word -> blocks of increasing levels."""
     out = []
     while v:
         L = len(v)
-        if L & (L - 1) == 0 and v in Wsets[L.bit_length() - 1]:
+        if L & (L - 1) == 0 and levels.is_word(L.bit_length() - 1, v):
             out.append((L.bit_length() - 1, v))
             break
         t = (L - 1).bit_length()             # 2^{t-1} < |v| <= 2^t
         tail = v[-(2 ** (t - 1)):]
-        if tail not in Wsets[t - 1]:
+        if not levels.is_word(t - 1, tail):
             raise AssertionError("suffix block is not in W(%d)" % (t - 1))
         out.append((t - 1, tail))
         v = v[:-(2 ** (t - 1))]
@@ -391,24 +399,21 @@ def _suffix_blocks(v, Wsets):
 
 def decompose_factor(levels, v):
     """v = u_1...u_r w_1...w_s with u_i in W(n_i), w_j in W(m_j),
-    n_1 < ... < n_r and m_1 > ... > m_s, via the binary-expansion procedure."""
+    n_1 < ... < n_r and m_1 > ... > m_s, via the binary-expansion procedure.
+    The host, the first W(t) word holding v at the least such t, is read off
+    the products of the sorted W(t-1) and C(t-1), which come in order."""
     if not v:
         raise ValueError("empty factor")
-    Wsets = levels.Wsets
-    t = host = None
-    for k, lv in enumerate(levels.levels):
-        if 2 ** k < len(v):
-            continue
-        for w in lv.W:
-            if v in w:
-                t, host = k, w
-                break
-        if t is not None:
+    for t in range((len(v) - 1).bit_length(), levels.deepest + 1):
+        words = levels.W(0) if t == 0 else (
+            w + c for w in levels.W(t - 1) for c in levels.levels[t - 1].C)
+        host = next((w for w in words if v in w), None)
+        if host is not None:
             break
-    if t is None:
+    else:
         raise ValueError("not a factor of any built word (deepest level %d)"
                          % levels.deepest)
-    if v in Wsets[t]:
+    if levels.is_word(t, v):
         inc, dec = [], [(t, v)]
     else:
         # t >= 1 and, by minimality of t, every occurrence straddles the middle
@@ -416,8 +421,8 @@ def decompose_factor(levels, v):
         i = host.find(v)
         if not i < h < i + len(v):
             raise AssertionError("occurrence does not straddle the middle")
-        inc = _suffix_blocks(v[:h - i], Wsets)
-        dec = _prefix_blocks(v[h - i:], Wsets)
+        inc = _suffix_blocks(v[:h - i], levels)
+        dec = _prefix_blocks(v[h - i:], levels)
     blocks = inc + dec
     # validation
     if "".join(w for _, w in blocks) != v:
@@ -429,7 +434,7 @@ def decompose_factor(levels, v):
     if dec_levels != sorted(set(dec_levels), reverse=True):
         raise AssertionError("w-block levels are not decreasing")
     for m, w in blocks:
-        if w not in Wsets[m]:
+        if not levels.is_word(m, w):
             raise AssertionError("block is not a W(%d) member" % m)
     return {"v": v, "blocks": blocks, "r": len(inc), "s": len(dec),
             "minimal_level": t}

@@ -369,12 +369,7 @@ def witness_product(f, l=None):
     levels = lang.levels
     n = f.window_radius()
     if l is None:
-        l = 0
-        while levels.Nt[l + 1] < 2 * n + 1:
-            l += 1
-            if l + 1 > levels.K:
-                raise ValueError("depth: no built level with Ntilde >= %d"
-                                 % (2 * n + 1))
+        l = levels.min_level_for(2 * n + 1) - 1
     if 2 * n + 1 > levels.Nt[l + 1]:
         raise ValueError("depth: 2n+1 = %d exceeds Ntilde_%d" % (2 * n + 1, l + 1))
 
@@ -592,12 +587,7 @@ def ret_bracket_report(lang, n, l=None, seed=0):
         raise ValueError("ret_bracket_report needs gamma-driven levels")
     K = _ceil_K(gamma, n)
     if l is None:
-        l = 0
-        while levels.Nt[l + 1] < 2 * n + 1:
-            l += 1
-            if l + 1 > levels.K:
-                raise ValueError("depth: no built level with Ntilde >= %d"
-                                 % (2 * n + 1))
+        l = levels.min_level_for(2 * n + 1) - 1
     c = 12                                    # proof constant; audit measures
     report["upper"] = {
         "gamma": str(Fraction(gamma)), "l": l, "K": K,

@@ -8,11 +8,11 @@
 #
 # One exact counting backend lives here: a sorted-window census that gives,
 # for every length n <= cap, the number of distinct windows and the
-# ascending occurrence positions of each.  It sorts suffixes by prefix
-# doubling from packed letter codes (numpy): every round is one value sort,
-# the last round reaches exactly cap, only the current rank level is kept,
-# and the lcp is computed only where the rank changes.  It checks the byte
-# budget before it allocates.
+# occurrence positions of each, a run of the suffix array.  It sorts
+# suffixes by prefix doubling from packed letter codes (numpy): every round
+# is one value sort, the last round reaches exactly cap, only the current
+# rank level is kept, and the lcp is computed only where the rank changes.
+# It checks the byte budget before it allocates.
 
 import os
 from dataclasses import dataclass, field
@@ -234,6 +234,7 @@ class WindowCensus:
         self.cap = cap
         self.separators = separators
         sa, lcp, vlen = self._build_numpy(host, cap, separators, max_bytes)
+        sa.flags.writeable = False          # blocks() hands out views of it
         self.sa = sa
         self.lcp = lcp
         self.vlen = vlen
@@ -257,25 +258,20 @@ class WindowCensus:
         return int(self.counts[n])
 
     def blocks(self, n):
-        """Ascending start positions of each distinct separator-free length-n
-        window: one int64 array per window, windows in lexicographic order.
+        """Start positions of each distinct separator-free length-n window,
+        windows in lexicographic order: read-only views of sa, positions in
+        sa order, which ascends at n = cap.
 
-        The suffixes that share their first n characters are adjacent in sa,
-        and a new block starts wherever lcp < n.
+        Suffixes sharing their first n characters are a run of sa, split
+        where lcp < n.  Windows sharing n letters with one that holds a
+        separator or the host end (vlen < n) hold it too, so the blocks are
+        the runs whose first entry has vlen >= n.
         """
         if not (1 <= n <= self.cap):
             raise ValueError("n out of census range")
-        valid = self.vlen >= n
-        bid = np.cumsum(self.lcp < n)[valid]
-        # sort (block, position) keys: block order is kept, so bid still
-        # labels the sorted keys, and positions ascend inside each block
-        width = np.int64(len(self.host) + 1)
-        key = bid * width + self.sa[valid]
-        if len(key) == 0:
-            return []
-        key.sort()
-        np.remainder(key, width, out=key)
-        return np.split(key, np.flatnonzero(np.diff(bid)) + 1)
+        starts = np.flatnonzero(self.lcp < n)
+        runs = np.split(self.sa, starts[1:])
+        return [r for r, valid in zip(runs, self.vlen[starts] >= n) if valid]
 
     @staticmethod
     def _build_numpy(host, cap, separators, max_bytes):

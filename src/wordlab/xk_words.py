@@ -392,14 +392,14 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     fam_b = (t + 1) * s * s
 
     # --- family A ------------------------------------------------------
-    # one extension per length-n factor, at its smallest occurrence with
-    # room for the extension on both sides.  The extensions are ours to
-    # choose: whenever the extension of some a != 0^n happens to take the
-    # xi shape, re-choose another occurrence whose extension leaves family
-    # B (one always exists: an occurrence whose following 0-run is longer
-    # than n cannot look like any xi).  The candidates are scanned from the
-    # last one back: the search host ends with its padded words, whose
-    # 0-runs are longer than n
+    # one extension per length-n factor, at the least occurrence in its
+    # census block (unsorted) with room for the extension on both sides.
+    # The extensions are ours to choose: whenever the extension of some
+    # a != 0^n takes the xi shape, re-choose another occurrence whose
+    # extension leaves family B (one always exists: an occurrence whose
+    # following 0-run is longer than n cannot look like any xi).  Only then
+    # is the block sorted, and scanned from the last one back: the search
+    # host ends with its padded words, whose 0-runs are longer than n
     blocks = census.blocks(n)
     if len(blocks) != p[n]:
         raise AssertionError("n-block count %d != p(n)=%d" % (len(blocks), p[n]))
@@ -407,14 +407,14 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     fam_a = []
     rechosen = 0
     for pos in blocks:
-        lo, hi = np.searchsorted(pos, [t, L - (n + 2 * t) + 1])
-        if lo == hi:
+        cand = pos[(pos >= t) & (pos <= L - (n + 2 * t))]
+        if len(cand) == 0:
             raise AssertionError("the length-%d factor %r has no margined occurrence"
                                  % (n, host[pos[0]:pos[0] + n]))
-        q = int(pos[lo])
+        q = int(cand.min())
         e = host[q - t:q + n + 2 * t]
         if q != p0 and _decodes_as_xi(e, wordset, n, t):
-            for q in pos[lo + 1:hi].tolist()[::-1]:
+            for q in np.sort(cand)[1:].tolist()[::-1]:
                 e = host[q - t:q + n + 2 * t]
                 if not _decodes_as_xi(e, wordset, n, t):
                     break

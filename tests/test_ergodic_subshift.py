@@ -196,22 +196,21 @@ def test_decompose_single_block(levels):
 
 def test_prefix_blocks_binary_expansion(levels):
     # |v| = 2^2 + 2^0 = 5: a proper prefix of a W(3) word splits W(2), W(0)
-    Wsets = [frozenset(l.W) for l in levels.levels]
     w = levels.W(3)[0]
-    blocks = _prefix_blocks(w[:5], Wsets)
+    blocks = _prefix_blocks(w[:5], levels)
     assert [m for m, _ in blocks] == [2, 0]
-    blocks = _suffix_blocks(w[-5:], Wsets)
+    blocks = _suffix_blocks(w[-5:], levels)
     assert [m for m, _ in blocks] == [0, 2]
 
 
-def test_word_sets_built_once_on_first_use(params):
+def test_decompose_never_lists_the_deepest_level(params):
     lv = build_ergodic_levels(params)
-    assert "Wsets" not in vars(lv)          # nothing extra at set-up
-    decompose_factor(lv, lv.W(3)[5][1:])
-    sets = lv.Wsets
-    decompose_factor(lv, lv.W(4)[7][3:11])
-    assert lv.Wsets is sets
-    assert sets == [frozenset(l.W) for l in lv.levels]
+    w = lv.W(7)[3] + lv.levels[7].C[1]      # a W(8) word, built by hand
+    d = decompose_factor(lv, w[100:200])
+    assert d["minimal_level"] == 8
+    assert "".join(x for _, x in d["blocks"]) == w[100:200]
+    assert decompose_factor(lv, w)["blocks"] == [(8, w)]
+    assert lv.levels[-1]._W is None
 
 
 def test_deepest_level_built_on_first_read(params):

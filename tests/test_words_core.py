@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,8 +140,47 @@ def test_window_census_blocks_are_occurrence_sets():
             assert windows == sorted(set(host[i:i + n] for i in range(len(host) - n + 1)
                                          if "|" not in host[i:i + n]))
             assert len(blocks) == c.count(n)
+            # positions come in sa order, which ascends at n = cap
             for w, b in zip(windows, blocks):
-                assert b.tolist() == occurrence_positions(w, host)
+                got = b.tolist() if n == cap else sorted(b.tolist())
+                assert got == occurrence_positions(w, host)
+            assert [sorted(b.tolist()) for b in blocks] == _key_sort_blocks(c, n)
+
+
+def _key_sort_blocks(census, n):
+    """Second oracle for blocks: label each valid sa entry with its run
+    (a cumsum of lcp < n), then sort (run, position) keys, so that the
+    positions ascend inside each block."""
+    valid = census.vlen >= n
+    bid = np.cumsum(census.lcp < n)[valid]
+    width = np.int64(len(census.host) + 1)
+    key = bid * width + census.sa[valid]
+    if len(key) == 0:
+        return []
+    key.sort()
+    np.remainder(key, width, out=key)
+    return [b.tolist() for b in np.split(key, np.flatnonzero(np.diff(bid)) + 1)]
+
+
+def _fibonacci(length):
+    a, b = "0", "01"
+    while len(b) < length:
+        a, b = b, b + a
+    return b[:length]
+
+
+def test_window_census_blocks_are_views_of_sa():
+    host = _fibonacci(10**6)
+    c = WindowCensus(host, 64)
+    # a key sort over every position (_key_sort_blocks) peaks at 25 bytes a
+    # host char here
+    peak = _traced_peak(lambda: c.blocks(32))
+    assert peak < 2 * len(host), peak
+    blocks = c.blocks(32)
+    assert len(blocks) == c.count(32) == 33
+    assert all(np.shares_memory(b, c.sa) for b in blocks)
+    with pytest.raises(ValueError, match="read-only"):
+        blocks[0].sort()
 
 
 def _slice_census(host, cap, seps):
@@ -191,7 +231,7 @@ def test_window_census_arrays_match_slice_sort():
             windows = sorted(set(host[i:i + n] for i in range(len(host) - n + 1)
                                  if "|" not in host[i:i + n]))
             assert [b.tolist() for b in c.blocks(n)] == \
-                [occurrence_positions(w, host) for w in windows], (host, cap, n)
+                [[i for i in sa if host[i:i + n] == w] for w in windows], (host, cap, n)
 
 
 def _census_need(host, cap):
