@@ -95,12 +95,14 @@ def load_config(path):
     return out
 
 
-def emit_report(payload, args, rows=None, columns=None, passed=True):
+def emit_report(payload, args, rows=None, columns=None, passed=True,
+                witness=None):
     """Serialize a run deterministically.
 
     JSON output is the full payload under a versioned header.  CSV output
     needs tabular rows; the header line records seed and command so that
-    every report carries its provenance.
+    every report carries its provenance.  A run that did not pass then
+    raises VerificationFailure with the witness (by default the payload).
     """
     command = "%s %s" % (args.family, args.command)
     if args.format == "json":
@@ -130,27 +132,29 @@ def emit_report(payload, args, rows=None, columns=None, passed=True):
             raise UsageError("unwritable output path %s: %s" % (args.output, e))
     else:
         sys.stdout.write(text)
+    if not passed:
+        raise VerificationFailure(payload if witness is None else witness)
 
 
 # ---------------------------------------------------------------- families
 
-# Peak bytes per n of the tables that `growth build` and `growth check`
-# tabulate (f, f', omega; build also holds and prints one row per n), from
-# tracemalloc peaks for g = n^2 at n_max = 10^5 and 4*10^5: check 41-44,
-# build 660 with --format json and 280 with csv.  The witness itself is
-# held as O(log n_max) segments and costs nothing per n.
-_GROWTH_BYTES_PER_N = {"build": 700, "check": 48}
+# Peak bytes per n of `growth build`, which tabulates f, f' and omega and
+# holds and prints one row per n: from tracemalloc peaks for g = n^2 at
+# n_max = 10^5 and 4*10^5, 660 with --format json and 280 with csv.  The
+# witness is held as O(log n_max) segments and `growth check` decides every
+# property on them, so it costs nothing per n.
+_GROWTH_BYTES_PER_N = 700
 
 
 def run_growth(args):
-    need = _GROWTH_BYTES_PER_N[args.command] * args.n_max
-    budget = max_bytes_budget(args.max_bytes)
-    if need > budget:
-        raise ValueError("budget: growth %s tabulates %d values of f, about "
-                         "%d bytes > %d" % (args.command, args.n_max, need, budget))
     g = GrowthTable.from_name(args.g, args.n_max)
     w = build_superlinear_witness(g)           # runs verify_witness
     if args.command == "build":
+        need = _GROWTH_BYTES_PER_N * args.n_max
+        budget = max_bytes_budget(args.max_bytes)
+        if need > budget:
+            raise ValueError("budget: growth build tabulates %d values of f, "
+                             "about %d bytes > %d" % (args.n_max, need, budget))
         deriv, flag = discrete_derivative(w.f)
         rows = [(n, w.f.values[n], deriv.values[n], w.omega[n])
                 for n in range(1, w.f.n_max + 1)]
@@ -166,7 +170,7 @@ def run_growth(args):
         emit_report(payload, args, rows=rows,
                     columns=["n", "f", "f_prime", "omega"])
         return True
-    # check
+    # check, on the witness's segments: no table of f is built
     checks = w.checks
     props = check_growth_properties(w.f)
     # the construction promises monotonicity, the doubling square bound and
@@ -177,8 +181,6 @@ def run_growth(args):
         checks[k] for k in ("strictly_increasing", "doubling_square_bound",
                             "telescoping_bound", "f_below_g_from_n0"))
     emit_report(payload, args, passed=ok)
-    if not ok:
-        raise VerificationFailure(payload)
     return ok
 
 
@@ -207,10 +209,8 @@ def run_xk(args):
                 for n in range(lo, hi + 1)]
         ok = all(t["bound_alpha_2r_ok"].values())
         emit_report({"range": [lo, hi], "table": rows}, args, rows=rows,
-                    columns=["n", "p", "p_prime", "bound_ok"], passed=ok)
-        if not ok:
-            raise VerificationFailure({"bound_alpha_2r_ok":
-                                       t["bound_alpha_2r_ok"]})
+                    columns=["n", "p", "p_prime", "bound_ok"], passed=ok,
+                    witness={"bound_alpha_2r_ok": t["bound_alpha_2r_ok"]})
         return True
     if args.command == "verify-structure":
         rep = verify_xk_structure(oracle)
@@ -218,21 +218,18 @@ def run_xk(args):
               and all(rep["extension"].values())
               and all(all(d.values()) for d in rep["pushdown"].values()))
         emit_report(rep, args, passed=ok)
-        if not ok:
-            raise VerificationFailure(rep)
         return True
     # verify-spike
     rep = verify_derivative_spike(oracle, l=args.l, epsilon=Fraction(args.epsilon))
     emit_report(rep, args, passed=rep["pass"])
-    if not rep["pass"]:
-        raise VerificationFailure(rep)
     return True
 
 
+# the pieces of f on 1..N: 2^ceil(sqrt(n)) is 2^(k+1) for k^2 < n <= (k+1)^2
 _ERGODIC_F = {
-    "2^ceil-sqrt": lambda n: 2 ** (math.isqrt(n)
-                                   + (0 if math.isqrt(n) ** 2 == n else 1)),
-    "const-2": lambda n: 2,
+    "2^ceil-sqrt": lambda N: [(k * k + 1, 0, 0, 2 ** (k + 1))
+                              for k in range(math.isqrt(N - 1) + 1)],
+    "const-2": lambda N: [(1, 0, 0, 2)],
 }
 
 
@@ -247,8 +244,8 @@ def run_ergodic(args):
     if args.f not in _ERGODIC_F:
         raise UsageError("unknown f %r; choose from %s"
                          % (args.f, sorted(_ERGODIC_F)))
-    table = GrowthTable.from_function(_ERGODIC_F[args.f],
-                                      max(2 ** (args.max_level + 2), 16))
+    n_max = max(2 ** (args.max_level + 2), 16)
+    table = GrowthTable.from_pieces(_ERGODIC_F[args.f](n_max), n_max)
     params = ErgodicParams(f=table, max_level=args.max_level,
                            choice_policy=args.policy, seed=args.seed,
                            memory_budget=args.max_bytes)
@@ -268,8 +265,6 @@ def run_ergodic(args):
         emit_report({"u": args.u, "rows": rows, "nesting": rep}, args,
                     rows=rows, columns=["n", "a_n", "b_n", "delta_n"],
                     passed=rep["pass"])
-        if not rep["pass"]:
-            raise VerificationFailure(rep)
         return True
     # decompose
     d = decompose_factor(levels, args.word)
@@ -315,9 +310,8 @@ def run_subst(args):
             rows.append((n, p, "" if prev is None else p - prev, good))
             prev = p
         emit_report({"range": [lo, hi], "table": rows}, args, rows=rows,
-                    columns=["n", "p", "p_prime", "bounds_ok"], passed=ok)
-        if not ok:
-            raise VerificationFailure({"rows": rows})
+                    columns=["n", "p", "p_prime", "bounds_ok"], passed=ok,
+                    witness={"rows": rows})
         return True
     if args.command == "densities":
         rows = []
@@ -416,8 +410,6 @@ def run_algebra(args):
         rep["trials"] = args.trials
         ok = all(v for k, v in rep.items() if k != "trials")
         emit_report(rep, args, passed=ok)
-        if not ok:
-            raise VerificationFailure(rep)
         return True
     if args.command == "witness-product":
         gens = make_generators(lang)
@@ -440,8 +432,7 @@ def run_algebra(args):
                 reports.append(rep)
                 if not rep["pass"]:
                     emit_report({"trial": i, "report": rep}, args,
-                                passed=False)
-                    raise VerificationFailure(rep)
+                                passed=False, witness=rep)
             payload = {"trials": args.random,
                        "all_pass": True,
                        "sample": reports[0]}
@@ -450,21 +441,15 @@ def run_algebra(args):
         f = gens["proj"][args.proj]
         rep = witness_product(f, l=args.l)
         emit_report(rep, args, passed=rep["pass"])
-        if not rep["pass"]:
-            raise VerificationFailure(rep)
         return True
     if args.command == "decompose-identity":
         rep = verify_unit_decomposition(lang, args.l)
         emit_report(rep, args, passed=rep["pass"])
-        if not rep["pass"]:
-            raise VerificationFailure(rep)
         return True
     if args.command == "ret-bracket":
         rep = ret_bracket_report(lang, args.n, seed=args.seed)
         ok = rep["type_star_vanish"] and rep["upper"]["master_len_le_K_n_gamma"]
         emit_report(rep, args, passed=ok)
-        if not ok:
-            raise VerificationFailure(rep)
         return True
     # dims
     rows = []

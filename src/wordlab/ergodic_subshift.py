@@ -59,7 +59,8 @@ class ErgodicParams:
             raise ValueError("f must be non-decreasing")
         if not rep["submultiplicative"]:
             raise ValueError("f must be submultiplicative on the tabulated "
-                             "range; violations: %r" % rep["violating_pairs"][:3])
+                             "range; f(m+n) > f(m) f(n) at (m, n) = (%d, %d)"
+                             % tuple(rep["violating_pair"]))
 
 
 @dataclass

@@ -9,20 +9,21 @@
 # The construction needs omega(n)! < g(n) / (2(n+1)) for large n; the builder
 # certifies this on the whole range 1..n_max from a recorded threshold n0.
 #
-# The witness is built and checked without walking the range n by n.
-# Between consecutive jumps 2 d_i, f(n) = n + c and omega(n) = K are constant
-# (a segment), and a named g is an integer quadratic on each of its pieces
-# (one for n^2, one per dyadic block for n floor(log2 n)).  On a run of n inside one segment and one piece, each
-# invariant says that an integer quadratic a n^2 + b n + c with a >= 0 is
-# nonnegative; its smallest (or largest) negative point is found exactly, at
-# the run's ends, at the vertex, or by bisection between them.  So the builder
-# and the checker cost O(log n_max) runs for a named g, and O(n_max) for a g
-# given as a table (one piece per n).
+# Nothing here walks the range n by n.  A table is held as integer quadratic
+# pieces (one for n^2, one per dyadic block for n floor(log2 n), the runs of
+# one slope for a table of values), the witness f as segments between the
+# jumps 2 d_i, where f(n) = n + c and omega(n) = K are constant.  On a run
+# inside one segment and one piece each invariant is the sign of an integer
+# quadratic a n^2 + b n + c, a >= 0, whose first or last negative point lies
+# at the run's ends or at the vertex, or is bisected.  Submultiplicativity of
+# lines of slope >= 0 is decided at the vertices of the regions where m, n
+# and m + n lie in given pieces.  So the cost is set by the number of pieces.
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 _lo = itemgetter(0)
@@ -86,9 +87,11 @@ class GrowthTable:
 
     ``pieces`` lists (lo, a, b, c) with lo increasing from 1: g(n) is
     a n^2 + b n + c (a >= 0) from lo up to the next piece's lo - 1, and the
-    last piece reaches n_max.  A table built from values is n_max one-point
-    pieces.  ``values`` (values[n] = g(n), index 0 unused) is tabulated from
-    the pieces only when it is first read.
+    last piece reaches n_max.  The pieces of a table built from values are
+    its maximal runs of one slope b >= 0, (lo, 0, b, v[lo] - b lo); a point
+    followed by a step down is a piece of its own.  ``values`` (values[n] =
+    g(n), index 0 unused) is tabulated from the pieces only when it is first
+    read.
     """
 
     def __init__(self, values, n_max):
@@ -111,8 +114,14 @@ class GrowthTable:
     @property
     def pieces(self):
         if self._pieces is None:
-            v = self._values
-            self._pieces = [(n, 0, 0, v[n]) for n in range(1, self.n_max + 1)]
+            v, N = self._values, self.n_max
+            self._pieces, lo = [], 1
+            while lo <= N:
+                b, hi = max(v[min(lo + 1, N)] - v[lo], 0), lo
+                while hi < N and v[hi + 1] - v[hi] == b:
+                    hi += 1
+                self._pieces.append((lo, 0, b, v[lo] - b * lo))
+                lo = hi + 1
         return self._pieces
 
     @property
@@ -127,9 +136,7 @@ class GrowthTable:
     def __call__(self, n):
         if not (1 <= n <= self.n_max):
             raise ValueError("n=%d outside table range 1..%d" % (n, self.n_max))
-        if self._values is not None:
-            return self._values[n]
-        _, a, b, c = _at(self._pieces, n)
+        _, a, b, c = _at(self.pieces, n)
         return (a * n + b) * n + c
 
     @classmethod
@@ -143,9 +150,9 @@ class GrowthTable:
         with floor(log2 n) = n.bit_length() - 1 in exact integers."""
         if name == "id":
             return cls.from_pieces([(1, 0, 1, 0)], n_max)
-        if name in ("n^2", "n2", "square"):
+        if name == "n^2":
             return cls.from_pieces([(1, 1, 0, 0)], n_max)
-        if name in ("nlogn", "n log n"):
+        if name == "nlogn":
             # n on 1..3, then k n on each block 2^k..2^(k+1)-1
             return cls.from_pieces([(1, 0, 1, 0)] + [
                 (2 ** k, 0, k, 0) for k in range(2, max(2, n_max.bit_length()))],
@@ -165,38 +172,63 @@ def discrete_derivative(table):
     return GrowthTable(vals, table.n_max), "f_prime_at_1_set_to_0"
 
 
-def check_growth_properties(table, pair_limit=2_000_000):
-    """Monotonicity and submultiplicativity of a tabulated function.
+def _violating_pair(P, N):
+    """The first [m, n], m <= n, with f(m+n) > f(m) f(n), or None, for f
+    given as pieces (lo, hi, b, c), f(n) = b n + c with b >= 0.
 
-    Submultiplicativity means f(m+n) <= f(m) f(n); all tested violating
-    pairs are returned.  Polynomial boundedness of the doubling profile
-    f(2n)/f(n) is an asymptotic statement that no finite table can settle,
-    so it is only noted.
+    For m, n and m + n = s in pieces i, j and k the gap f(m) f(n) - f(s) is
+    linear along m and along n and concave along s = const (-b_i b_j m^2),
+    so it is least at a vertex of the region, where two of the lines
+    m, n, s = const meet: an integer point.  For i = j the gap is symmetric
+    and m <= n is not imposed.  As f rises along each piece, (i, j) is
+    skipped when f(lo_i), f(lo_j) >= 0 and their product bounds f up to the
+    end of the piece that holds min(hi_i + hi_j, N)."""
+    starts = [p[0] for p in P]
+    low = [b * lo + c for lo, _, b, c in P]
+    top = list(accumulate((b * hi + c for _, hi, b, c in P), max))
+    for i, (li, hi_i, bi, ci) in enumerate(P):
+        for j in range(i, len(P)):
+            lj, hj, bj, cj = P[j]
+            if li + lj > N:
+                break
+            s_hi = min(hi_i + hj, N)
+            k_hi = bisect_right(starts, s_hi) - 1
+            if min(low[i], low[j]) >= 0 and low[i] * low[j] >= top[k_hi]:
+                continue
+            for lk, hk, bk, ck in P[bisect_right(starts, li + lj) - 1:k_hi + 1]:
+                sl, sh = max(lk, li + lj), min(hk, s_hi)
+                corners = [(m, n) for m in (li, hi_i) for n in (lj, hj, sl - m, sh - m)]
+                corners += [(s - n, n) for n in (lj, hj) for s in (sl, sh)]
+                for m, n in corners:
+                    if li <= m <= hi_i and lj <= n <= hj and sl <= m + n <= sh \
+                            and (bi * m + ci) * (bj * n + cj) < bk * (m + n) + ck:
+                        return sorted((m, n))
+    return None
+
+
+def check_growth_properties(table):
+    """Monotonicity and submultiplicativity of f, decided exactly on its
+    pieces, which must be lines of slope b >= 0 (those of a table of values
+    and of the witness f are); a violating pair (m, n) is the witness.  The
+    doubling profile f(2n)/f(n) is asymptotic, so it is only noted.
     """
-    v = table.values
-    N = table.n_max
-    nondecreasing = all(v[n] <= v[n + 1] for n in range(1, N))
-    strict_from = None
-    for n in range(N - 1, 0, -1):
-        if v[n] >= v[n + 1]:
-            break
-        strict_from = n
-    violations = []
-    # test all pairs when affordable, else a deterministic stride sample
-    total_pairs = (N - 1) * N // 2
-    stride = max(1, int(math.isqrt(max(1, total_pairs // pair_limit))))
-    tested = 0
-    for m in range(1, N, stride):
-        for n in range(m, N - m + 1, stride):
-            tested += 1
-            if v[m + n] > v[m] * v[n]:
-                violations.append((m, n))
+    N, P = table.n_max, []
+    for (lo, a, b, c), hi in _ranges(table.pieces, N):
+        if a or b < 0:
+            raise ValueError("growth properties need pieces b n + c with b >= 0, "
+                             "not %d n^2 + %d n + %d from n=%d" % (a, b, c, lo))
+        P.append((lo, hi, b, c))
+    # f(hi) - f(hi + 1) at each junction; inside a piece f stays level or rises
+    drops = [(hi, b * hi + c - b2 * lo2 - c2)
+             for (_, hi, b, c), (lo2, _, b2, c2) in zip(P, P[1:])]
+    last = max([hi - 1 for lo, hi, b, _ in P if b == 0 and hi > lo]
+               + [hi for hi, d in drops if d >= 0], default=0)
+    pair = _violating_pair(P, N)
     return {
-        "nondecreasing": nondecreasing,
-        "strictly_increasing_from": strict_from,
-        "submultiplicative": not violations,
-        "violating_pairs": violations,
-        "pairs_tested": tested,
+        "nondecreasing": all(d <= 0 for _, d in drops),
+        "strictly_increasing_from": last + 1 if last + 1 < N else None,
+        "submultiplicative": pair is None,
+        "violating_pair": pair,
         "doubling_note": "finite diagnostic only",
     }
 

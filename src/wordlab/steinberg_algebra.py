@@ -146,19 +146,6 @@ class AlgebraElement:
                           for (d, lo, pat), c in sorted(self.terms.items()))
         return "<AlgebraElement %s>" % (body or "0")
 
-    def to_json(self):
-        pats = [k for k in self.terms if k[2]]
-        window = ([min(k[1] for k in pats),
-                   max(k[1] + len(k[2]) - 1 for k in pats)] if pats else [])
-        terms = []
-        for (d, lo, pat), c in sorted(self.terms.items()):
-            num, den = ((int(c), 1) if self.char
-                        else (c.numerator, c.denominator))
-            terms.append({"d": d, "window_lo": lo, "pattern": pat,
-                          "coeff_num": num, "coeff_den": den})
-        return {"field": ("F%d" % self.char) if self.char else "Q",
-                "window": window, "terms": terms}
-
 
 def zero(lang, char=None):
     return AlgebraElement(lang, {}, char)

@@ -92,11 +92,6 @@ class ScanResult:
     missing_pattern: str = None
     min_window_lengths: dict = field(default_factory=dict)
 
-    @property
-    def min_uniform_length(self):
-        """Smallest K such that every length-K window contains every pattern."""
-        return max(self.min_window_lengths.values())
-
 
 def _pattern_window_stats(pos, L, host_len, K):
     """(ok, first_fail, min_K) of 'every length-K window of a host of length

@@ -93,6 +93,15 @@ def test_params_validation():
         ErgodicParams(f=GrowthTable(vals, 10))
 
 
+def test_params_reject_violation_past_any_sample():
+    # f = 2 except f(4097) = 5 fails only at sums 4097, which a sample of
+    # pairs of odd numbers never reaches; the decision on pieces finds it
+    vals = [0] + [2] * 4097
+    vals[4097] = 5
+    with pytest.raises(ValueError, match=r"\(m, n\) = \(1, 4096\)"):
+        ErgodicParams(f=GrowthTable(vals, 4097), max_level=10)
+
+
 def test_level_shapes(levels):
     cs = levels.cseq
     for k, lv in enumerate(levels.levels):

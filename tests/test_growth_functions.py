@@ -4,7 +4,9 @@ import random
 import time
 import tracemalloc
 from dataclasses import replace
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from wordlab.growth_functions import (
@@ -69,6 +71,37 @@ def verify_witness_per_n(w):
             raise AssertionError("factorial constraint fails at n=%d" % n)
         if not v[n] < w.g.values[n]:
             raise AssertionError("f(n) < g(n) fails at n=%d" % n)
+
+
+def growth_properties_per_n(v, N):
+    """Oracle for check_growth_properties: nondecreasing,
+    strictly_increasing_from and every pair (m, n), m <= n, m + n <= N, with
+    f(m+n) > f(m) f(n), found by walking every n and every pair (a row of
+    pairs at a time in int64, exact while |f| < 2^31)."""
+    nondecreasing = all(v[n] <= v[n + 1] for n in range(1, N))
+    strict_from = None
+    for n in range(N - 1, 0, -1):
+        if v[n] >= v[n + 1]:
+            break
+        strict_from = n
+    a = np.array(v, dtype=np.int64)
+    assert np.abs(a).max() < 2**31
+    bad = []
+    for m in range(1, N // 2 + 1):
+        n = np.arange(m, N - m + 1)
+        bad.extend((m, int(x)) for x in n[a[m + n] > a[m] * a[n]])
+    return nondecreasing, strict_from, bad
+
+
+def _agrees_with_oracle(table):
+    rep = check_growth_properties(table)
+    nondecreasing, strict_from, bad = growth_properties_per_n(table.values,
+                                                              table.n_max)
+    assert rep["nondecreasing"] == nondecreasing
+    assert rep["strictly_increasing_from"] == strict_from
+    assert rep["submultiplicative"] == (not bad)
+    assert rep["violating_pair"] is None or tuple(rep["violating_pair"]) in bad
+    return rep
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +177,7 @@ def test_witness_growth_properties(witness):
 def test_check_growth_properties_affine():
     rep = check_growth_properties(GrowthTable.from_function(lambda n: n + 1, 500))
     assert rep["nondecreasing"] and rep["submultiplicative"]
-    assert rep["violating_pairs"] == []
+    assert rep["violating_pair"] is None
     assert rep["strictly_increasing_from"] == 1
     assert rep["doubling_note"] == "finite diagnostic only"
     assert "doubling_ratios" not in rep
@@ -163,7 +196,63 @@ def test_check_growth_properties_detects_violation():
     vals[6] = 5
     rep = check_growth_properties(GrowthTable(vals, 10))
     assert not rep["submultiplicative"]
-    assert any(m + n == 6 for m, n in rep["violating_pairs"])
+    m, n = rep["violating_pair"]
+    assert m <= n and m + n == 6
+
+
+def _random_tables(rng, count):
+    """Seeded tables of up to 40 values: sorted, arbitrary (some negative),
+    rising by random steps, lines with a few points moved, and runs of up to
+    12 points of random slopes with random jumps between them."""
+    for t in range(count):
+        N = rng.randint(1, 40)
+        kind = t % 5
+        if kind == 0:
+            v = sorted(rng.randint(0, 60) for _ in range(N))
+        elif kind == 1:
+            v = [rng.randint(-3, 30) for _ in range(N)]
+        elif kind == 2:
+            v = list(accumulate((rng.choice((0, 0, 1, 1, 2, 5))
+                                 for _ in range(N - 1)), initial=rng.randint(1, 4)))
+        elif kind == 3:
+            b, c = rng.randint(0, 3), rng.randint(-2, 4)
+            v = [b * n + c for n in range(1, N + 1)]
+            for _ in range(rng.randint(0, 2)):
+                v[rng.randrange(N)] += rng.randint(-3, 6)
+        else:
+            v, x = [], rng.randint(-2, 6)
+            while len(v) < N:
+                b, x = rng.choice((0, 0, 1, 2, 3, 7)), x + rng.randint(-3, 8)
+                for _ in range(min(rng.randint(1, 12), N - len(v))):
+                    v.append(x)
+                    x += b
+        yield GrowthTable([0] + v, N)
+
+
+def test_growth_properties_match_pair_oracle_on_random_tables():
+    verdicts = set()
+    for t in _random_tables(random.Random(13), 5000):
+        rep = _agrees_with_oracle(t)
+        verdicts.add((rep["nondecreasing"], rep["submultiplicative"]))
+        # the coalesced runs of one slope reproduce the values
+        assert GrowthTable.from_pieces(t.pieces, t.n_max).values == t.values
+        assert all(a == 0 and b >= 0 for _, a, b, _ in t.pieces)
+    assert len(verdicts) == 4
+
+
+@pytest.mark.parametrize("n_max", [300, 2048, 10**4])
+def test_growth_properties_match_pair_oracle_on_witness(n_max):
+    w = build_superlinear_witness(GrowthTable.from_name("n^2", n_max))
+    rep = _agrees_with_oracle(w.f)
+    assert rep["violating_pair"] == [1, 255]
+    assert _agrees_with_oracle(GrowthTable(w.f.values, n_max)) == rep
+
+
+def test_growth_properties_need_rising_lines():
+    with pytest.raises(ValueError, match="b >= 0"):
+        check_growth_properties(GrowthTable.from_name("n^2", 10))
+    with pytest.raises(ValueError, match="b >= 0"):
+        check_growth_properties(GrowthTable.from_pieces([(1, 0, -1, 9)], 5))
 
 
 def test_not_superlinear_rejected():
