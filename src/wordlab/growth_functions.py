@@ -182,14 +182,18 @@ def _violating_pair(P, N):
     m, n, s = const meet: an integer point.  For i = j the gap is symmetric
     and m <= n is not imposed.  As f rises along each piece, (i, j) is
     skipped when f(lo_i), f(lo_j) >= 0 and their product bounds f up to the
-    end of the piece that holds min(hi_i + hi_j, N)."""
+    end of the piece that holds min(hi_i + hi_j, N).  Once low_i >= 0 and
+    low_i min(low_j, low_j+1, ...) >= max f, every later j is skipped too,
+    so the loop over j stops there."""
     starts = [p[0] for p in P]
     low = [b * lo + c for lo, _, b, c in P]
     top = list(accumulate((b * hi + c for _, hi, b, c in P), max))
+    rest = list(accumulate(reversed(low), min))[::-1]      # rest[j] = min(low[j:])
     for i, (li, hi_i, bi, ci) in enumerate(P):
         for j in range(i, len(P)):
             lj, hj, bj, cj = P[j]
-            if li + lj > N:
+            if li + lj > N or (low[i] >= 0 and rest[j] >= 0
+                               and low[i] * rest[j] >= top[-1]):
                 break
             s_hi = min(hi_i + hj, N)
             k_hi = bisect_right(starts, s_hi) - 1

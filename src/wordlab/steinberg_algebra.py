@@ -65,6 +65,8 @@ class AlgebraElement:
     terms: dict (degree, window_lo, pattern) -> nonzero coefficient;
     pattern "" (with window_lo 0) is the full space X.  Coefficients are
     exact rationals by default, or integers mod a prime when char is set.
+    Over Q an integral coefficient is stored as an int (Fraction(4, 2) as 2),
+    and only the others as Fractions; the two compare and hash alike.
     """
 
     __slots__ = ("lang", "char", "terms")
@@ -80,8 +82,11 @@ class AlgebraElement:
 
     def _c(self, x):
         p = self.char
-        if not p:
-            return x if isinstance(x, Fraction) else Fraction(x)
+        if not p:                              # over Q: integers stay int
+            if type(x) is int:
+                return x
+            x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, int):
             return x % p
         x = Fraction(x)                        # num/den -> num * den^-1 mod p
@@ -110,7 +115,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         if not (self.lang is other.lang and self.char == other.char):
-            raise AssertionError("mixed algebras")
+            raise ValueError("mixed algebras")
         out = dict(self.terms)
         for key, c in other.terms.items():
             s = self._c(out.get(key, 0) + c)
@@ -187,7 +192,7 @@ def _term_mul(lang, t1, t2):
 def convolve(f, g, canonical=True):
     """Bilinear extension of the basis rule; canonicalized by default."""
     if not (f.lang is g.lang and f.char == g.char):
-        raise AssertionError("mixed algebras")
+        raise ValueError("mixed algebras")
     out = {}
     for t1, c1 in f.terms.items():
         for t2, c2 in g.terms.items():
@@ -233,7 +238,15 @@ def _normal_form(f):
     """canonicalize without its language filter, for an element whose
     patterns are all language words and whose full-space terms are keyed
     (d, 0, ""), as the basis rule's products are: the filter would keep
-    every term as it is."""
+    every term as it is.
+
+    After the expansion to the common window [lo, hi] every term is a
+    language word of length m + 1 = hi - lo + 1, so a degree with p(m + 1)
+    terms holds all of L(m + 1).  If it also has a single coefficient c_d,
+    every greedy trim of it succeeds (its stems are all of L(m), each with
+    all its extensions) down to "", and the degree is c_d 1_{{d} x X}.  When
+    every degree is so, that is the normal form, found in one count; any
+    other element goes through the greedy trims."""
     lang, char = f.lang, f.char
     terms = f.terms
     pats = [k for k in terms if k[2]]
@@ -251,6 +264,13 @@ def _normal_form(f):
             else:
                 expanded.pop(key, None)
     terms = expanded
+
+    coeff = {}
+    if all(coeff.setdefault(d, c) == c for (d, _, _), c in terms.items()):
+        p_full = lang.complexity(hi - lo + 1)
+        if all(k == p_full for k in Counter(d for d, _, _ in terms).values()):
+            return AlgebraElement(lang, {(d, 0, ""): c for d, c in coeff.items()},
+                                  char)
 
     def try_trim(side):
         nonlocal terms, lo, hi

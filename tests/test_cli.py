@@ -370,18 +370,30 @@ def test_pinned_stdout_bytes(capsys, argv, digest):
 
 
 _GROWTH_CHECK_N2 = ("growth", "--g", "n^2", "--n-max", "100000", "check")
+_DECOMPOSE_L1 = ("algebra", "decompose-identity", "--l", "1")
 
 
-def test_growth_check_bytes_under_python_O(run_python_O):
-    # no verdict of growth check rests on an assert that python -O strips
+def _pinned_under_python_O(run_python_O, argv):
+    """The command's stdout under python -O, which strips assert, matches its
+    pinned digest."""
     import hashlib
     proc = run_python_O(
         "import sys\nfrom wordlab import cli\n"
         "sys.exit(cli.parse_and_dispatch(%r) if sys.flags.optimize else 3)"
-        % list(_GROWTH_CHECK_N2))
+        % list(argv))
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
-        dict(PINNED_STDOUT)[_GROWTH_CHECK_N2]
+        dict(PINNED_STDOUT)[argv]
+
+
+def test_growth_check_bytes_under_python_O(run_python_O):
+    # no verdict of growth check rests on an assert that python -O strips
+    _pinned_under_python_O(run_python_O, _GROWTH_CHECK_N2)
+
+
+def test_decompose_identity_l1_bytes_under_python_O(run_python_O):
+    # nor does the unit decomposition's, whose l = 1 sum collapses in one count
+    _pinned_under_python_O(run_python_O, _DECOMPOSE_L1)
 
 
 def test_workers_flag_removed(capsys):

@@ -419,3 +419,16 @@ def test_verify_witness_names_failing_n(witness):
     segs[3] = (lo, c - 1, K)
     with pytest.raises(AssertionError, match="n=256"):
         verify_witness(replace(witness, segments=segs))
+
+
+def test_growth_properties_of_convex_table_in_time():
+    # n^2 + 2 changes slope at every step: 2,048 pieces to N = 4096.  The
+    # pair loop stops once low_i times every later low_j bounds max f
+    N = 4096
+    table = GrowthTable([0] + [n * n + 2 for n in range(1, N + 1)], N)
+    t0 = time.perf_counter()
+    rep = check_growth_properties(table)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.2, elapsed
+    assert rep == _agrees_with_oracle(table)
+    assert rep["submultiplicative"] and rep["violating_pair"] is None

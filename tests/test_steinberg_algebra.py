@@ -284,6 +284,102 @@ def test_count_decided_trims_match_queries_on_unit_sum(lang):
     assert counted < queried
 
 
+class ComplexityCountingLanguage(CountedLanguage):
+    """CountedLanguage that also counts its complexity calls: a collapsed
+    normal form makes one, the greedy trims two per trimmed letter."""
+
+    def __init__(self, lang):
+        super().__init__(lang)
+        self.counts = 0
+
+    def complexity(self, n):
+        self.counts += 1
+        return super().complexity(n)
+
+
+def _full_sum(lang, coeffs, lo, m):
+    """Terms of sum over d of coeffs[d] times every cylinder of length m at lo."""
+    words = sorted(subst_factor_set(lang.levels, m))
+    return {(d, lo, u): c for d, c in coeffs.items() for u in words}
+
+
+def test_full_degrees_collapse_in_one_count(lang):
+    words = sorted(subst_factor_set(lang.levels, 6))
+    full = [(_full_sum(lang, {0: 1, 2: -3}, -2, 6), None),
+            (_full_sum(lang, {-1: 2, 1: 5, 3: 7}, 1, 4), None),
+            (_full_sum(lang, {0: Fraction(1, 3), 1: Fraction(-2, 3)}, 0, 5), None),
+            (_full_sum(lang, {0: 7, -2: 3}, -1, 6), 5)]
+    want = [{(0, 0, ""): 1, (2, 0, ""): -3},
+            {(-1, 0, ""): 2, (1, 0, ""): 5, (3, 0, ""): 7},
+            {(0, 0, ""): Fraction(1, 3), (1, 0, ""): Fraction(-2, 3)},
+            {(0, 0, ""): 2, (-2, 0, ""): 3}]
+    # each keeps the degree named second: a full degree beside a partial one,
+    # or with one coefficient changed, over Q, with fractions and mod 5
+    partial = _full_sum(lang, {0: 1}, 0, 6)
+    partial.update({(1, 0, u): 1 for u in words[:3]})
+    changed = _full_sum(lang, {0: 1, 2: 1}, 0, 6)
+    changed[(2, 0, words[4])] = 2
+    thirds = _full_sum(lang, {0: Fraction(1, 3)}, 0, 6)
+    thirds[(0, 0, words[0])] = Fraction(2, 3)
+    mod5 = _full_sum(lang, {0: 1, 1: 4}, 0, 6)
+    mod5[(1, 0, words[-1])] = 3
+    kept = [(partial, None, 1), (changed, None, 2), (thirds, None, 0),
+            (mod5, 5, 1)]
+    trims_match_queries(lang, [AlgebraElement(lang, t, char)
+                               for t, char, *_ in full + kept])
+    for (terms, char), collapsed in zip(full, want):
+        counting = ComplexityCountingLanguage(lang)
+        got = canonicalize(AlgebraElement(counting, terms, char))
+        assert got.terms == collapsed
+        assert counting.counts == 1               # one count, no trims
+    for terms, char, degree in kept:
+        got = canonicalize(AlgebraElement(lang, terms, char))
+        assert any(pat for d, _, pat in got.terms if d == degree)
+
+
+def test_integral_coefficients_are_int(lang, gens):
+    T, Tinv, proj = gens["T"], gens["Tinv"], gens["proj"]
+    assert all(type(c) is int for c in convolve(T, Tinv).terms.values())
+    assert all(type(c) is int for c in canonicalize(proj["a"] + proj["b"]).terms.values())
+    rng = random.Random(11)
+    host = lang.levels.AB(3)
+    for _ in range(50):
+        a, b, c = (rand_elem(lang, rng, host) for _ in range(3))
+        products = [convolve(convolve(a, b, canonical=False), c),
+                    convolve(a, convolve(b, c, canonical=False), canonical=False)]
+        assert all(type(x) is int for f in products for x in f.terms.values())
+        # the products mod 5 are those over Q read mod 5
+        a5, b5, c5 = (AlgebraElement(lang, e.terms, char=5) for e in (a, b, c))
+        abc5 = convolve(a5, convolve(b5, c5, canonical=False), canonical=False)
+        assert abc5.terms == {k: x % 5 for k, x in products[1].terms.items() if x % 5}
+    two = AlgebraElement(lang, {(0, 0, "a"): Fraction(4, 2)})
+    assert type(two.terms[(0, 0, "a")]) is int and two.terms[(0, 0, "a")] == 2
+    half = AlgebraElement(lang, {(0, 0, "a"): Fraction(1, 2)})
+    assert type(half.terms[(0, 0, "a")]) is Fraction
+    assert type((2 * half).terms[(0, 0, "a")]) is int
+    assert (half + half).terms == {(0, 0, "a"): 1}
+    # mod 5 the values are those that Fraction coefficients gave
+    f5 = AlgebraElement(lang, {(0, 0, "a"): Fraction(1, 2), (1, -1, "ab"): 7},
+                        char=5)
+    assert f5.terms == {(0, 0, "a"): 3, (1, -1, "ab"): 2}
+    assert convolve(f5, f5, canonical=False).terms == {
+        (0, 0, "a"): 4, (1, -1, "aba"): 1}
+    assert convolve(f5, f5).terms == {
+        (0, -1, "aaa"): 4, (0, -1, "aab"): 4, (0, -1, "baa"): 4,
+        (0, -1, "bab"): 4, (1, -1, "aba"): 1}
+
+
+def test_mixed_algebras_raise_value_error(lang, gens):
+    other = SubstLanguage(lang.levels)
+    gens_other = make_generators(other)
+    gens5 = make_generators(lang, char=5)
+    for f, g in ((gens["T"], gens_other["T"]), (gens["T"], gens5["T"])):
+        with pytest.raises(ValueError, match="mixed algebras"):
+            f + g
+        with pytest.raises(ValueError, match="mixed algebras"):
+            convolve(f, g)
+
+
 def test_unit_decomposition_query_count(lang):
     counting = CountingLanguage(lang.levels)
     assert verify_unit_decomposition(counting, 1)["pass"]
