@@ -26,7 +26,7 @@ from .growth_functions import (
     check_growth_properties,
     discrete_derivative,
 )
-from .words_core import max_bytes_budget
+from .words_core import check_budget, max_bytes_budget
 
 SCHEMA = "wordlab-report/1"
 MIN_MAX_BYTES = 64 * 2**20
@@ -150,11 +150,8 @@ def run_growth(args):
     g = GrowthTable.from_name(args.g, args.n_max)
     w = build_superlinear_witness(g)           # runs verify_witness
     if args.command == "build":
-        need = _GROWTH_BYTES_PER_N * args.n_max
-        budget = max_bytes_budget(args.max_bytes)
-        if need > budget:
-            raise ValueError("budget: growth build tabulates %d values of f, "
-                             "about %d bytes > %d" % (args.n_max, need, budget))
+        check_budget(_GROWTH_BYTES_PER_N * args.n_max, args.max_bytes,
+                     "growth build tabulates %d values of f, about" % args.n_max)
         deriv, flag = discrete_derivative(w.f)
         rows = [(n, w.f.values[n], deriv.values[n], w.omega[n])
                 for n in range(1, w.f.n_max + 1)]
@@ -193,7 +190,7 @@ def run_xk(args):
         xk_complexity_table,
     )
     oracle = XkOracle(XkParams(r=args.r, max_level=args.max_level,
-                               memory_budget=args.max_bytes))
+                               max_bytes=args.max_bytes))
     if args.command == "build":
         rows = [(lv.k, lv.n, lv.s, lv.phase,
                  "explicit" if lv.explicit else "implicit")
@@ -248,7 +245,7 @@ def run_ergodic(args):
     table = GrowthTable.from_pieces(_ERGODIC_F[args.f](n_max), n_max)
     params = ErgodicParams(f=table, max_level=args.max_level,
                            choice_policy=args.policy, seed=args.seed,
-                           memory_budget=args.max_bytes)
+                           max_bytes=args.max_bytes)
     levels = build_ergodic_levels(params)
     if args.command == "build":
         rows = [(row["k"], row["c_k"], row["W_size"], row["queue_len"],
@@ -463,6 +460,13 @@ def run_algebra(args):
 
 # ---------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError, as every exit 2 is."""
+
+    def error(self, message):
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="json")
@@ -473,7 +477,7 @@ def build_parser():
     common.add_argument("--config", default=None,
                         help="key=value file supplying flag defaults")
 
-    p = argparse.ArgumentParser(prog="wordlab")
+    p = _Parser(prog="wordlab")
     fam = p.add_subparsers(dest="family", required=True)
 
     g = fam.add_parser("growth")
@@ -532,7 +536,7 @@ def build_parser():
     ai.add_argument("--trials", type=int, default=1000)
     aw = as_.add_parser("witness-product", parents=[common])
     aw.add_argument("--l", type=int, default=None)
-    aw.add_argument("--proj", default="a")
+    aw.add_argument("--proj", default="a", choices=("a", "b"))
     aw.add_argument("--random", type=int, default=0,
                     help="verify this many seeded random elements of W_3")
     ad = as_.add_parser("decompose-identity", parents=[common])

@@ -32,8 +32,9 @@ from .growth_functions import GrowthTable, check_growth_properties
 from .words_core import (
     _SET_MEMBER_BYTES,
     WindowCensus,
+    _words_bytes,
+    check_budget,
     count_occurrences,
-    max_bytes_budget,
 )
 
 
@@ -43,7 +44,7 @@ class ErgodicParams:
     max_level: int = 8
     choice_policy: str = "lexicographic"   # or "seeded-random"
     seed: int = 0
-    memory_budget: int = None
+    max_bytes: int = None
 
     def __post_init__(self):
         if self.f is None:
@@ -109,18 +110,6 @@ class ErgodicLevel:
     k: int
     W: list                       # sorted
     C: list = None                # the chosen subset C(k), sorted
-    queue_head: str = None
-    queue_len: int = 0
-    consumed: bool = False
-
-
-# bytes a listed word takes beyond its letters: the 49-byte str header and
-# its 8-byte list slot
-_LISTED_WORD_BYTES = 57
-
-
-def _words_bytes(count, length):
-    return count * (length + _LISTED_WORD_BYTES)
 
 
 class DeepestLevel:
@@ -129,12 +118,9 @@ class DeepestLevel:
     read, after the byte budget is checked, and kept; it cannot be set."""
 
     C = None
-    consumed = False
 
-    def __init__(self, below, params, queue_head, queue_len):
+    def __init__(self, below, params):
         self.k = below.k + 1
-        self.queue_head = queue_head
-        self.queue_len = queue_len
         self._below = below
         self._params = params
         self._W = None
@@ -143,11 +129,8 @@ class DeepestLevel:
     def W(self):
         if self._W is None:
             below = self._below
-            need = _words_bytes(len(below.W) * len(below.C), 2 ** self.k)
-            budget = max_bytes_budget(self._params.memory_budget)
-            if need > budget:
-                raise ValueError("budget: W(%d) needs about %d bytes (budget %d)"
-                                 % (self.k, need, budget))
+            check_budget(_words_bytes(len(below.W) * len(below.C), 2 ** self.k),
+                         self._params.max_bytes, "W(%d) needs about" % self.k)
             self._W = sorted(w + c for w in below.W for c in below.C)
         return self._W
 
@@ -196,11 +179,8 @@ def build_ergodic_levels(params, cseq=None):
     if b > len(string.ascii_lowercase):
         raise ValueError("alphabet size %d exceeds 26 letters" % b)
     alphabet = string.ascii_lowercase[:b]
-    budget = max_bytes_budget(params.memory_budget)
-    need = sum(_words_bytes(cseq.N[max(k - 1, 0)], 2 ** k) for k in range(K))
-    if need > budget:
-        raise ValueError("budget: levels need about %d bytes (budget %d)"
-                         % (need, budget))
+    check_budget(sum(_words_bytes(cseq.N[max(k - 1, 0)], 2 ** k) for k in range(K)),
+                 params.max_bytes, "levels need about")
     rng = random.Random(params.seed)
     lex = params.choice_policy == "lexicographic"
 
@@ -220,9 +200,8 @@ def build_ergodic_levels(params, cseq=None):
             C = [cand[0] if lex else rng.choice(cand)]
         else:
             C = sorted(W)[:c_k] if lex else sorted(rng.sample(W, c_k))
-        levels.append(ErgodicLevel(k=k, W=W, C=C, queue_head=head,
-                                   queue_len=len(queue), consumed=consume))
-        log.append({"k": k, "c_k": c_k, "W_size": len(W),
+        levels.append(ErgodicLevel(k=k, W=W, C=C))
+        log.append({"k": k, "c_k": c_k, "W_size": len(W), "queue_head": head,
                     "queue_len": len(queue), "consumed_head": consume})
         queue = queue[1:] if consume else queue
         if k + 1 < K:
@@ -232,9 +211,8 @@ def build_ergodic_levels(params, cseq=None):
             queue = queue + (list(W) if lex else rng.sample(W, len(W)))
     # the queue after level K-1 consumed its head, with W(K) appended
     size = len(W) * len(C)
-    levels.append(DeepestLevel(levels[-1], params, queue_head=queue[0],
-                               queue_len=len(queue) + size))
-    log.append({"k": K, "c_k": cseq.c[K], "W_size": size,
+    levels.append(DeepestLevel(levels[-1], params))
+    log.append({"k": K, "c_k": cseq.c[K], "W_size": size, "queue_head": queue[0],
                 "queue_len": len(queue) + size, "consumed_head": False})
     return ErgodicLevels(params=params, cseq=cseq, levels=levels,
                          alphabet=alphabet, run_log=log)
@@ -266,8 +244,9 @@ def _count_extremes(levels, u, n_hi):
     and the counts of W(k+1) = W(k) C(k) are the |W(k)| x |C(k)| table
         cnt[i] + cnt[c_j] + J[suf_i, pre_{c_j}],
     raveled row by row, with the junction count J taken once per distinct
-    (suffix, prefix) pair.  A C(k) member is placed in that order by its
-    W(k0) block (a dict of W(k0)) and its C(m) blocks for k0 <= m < k."""
+    (suffix, prefix) pair.  W(k) and C(k) are sorted lists of words of one
+    length, so that order is the sorted W(k), and a C(k) member is placed
+    by its rank there."""
     r = len(u) - 1
     k0 = 0
     while 2 ** k0 < r:
@@ -283,18 +262,9 @@ def _count_extremes(levels, u, n_hi):
     pre_str, pre = np.unique([w[:r] for w in words], return_inverse=True)
     suf_str, suf = np.unique([w[len(w) - r:] for w in words], return_inverse=True)
     J = np.full((len(suf_str), len(pre_str)), -1, dtype=np.int64)
-    first = {w: i for i, w in enumerate(words)}
-    columns = []                      # columns[m - k0]: C(m) member -> column
-
-    def position(x):
-        i = first[x[:2 ** k0]]
-        for m, col in enumerate(columns, k0):
-            i = i * len(col) + col[x[2 ** m:2 ** (m + 1)]]
-        return i
-
     for k in range(k0, n_hi):
-        C = levels.levels[k].C
-        ci = np.array([position(c) for c in C], dtype=np.int64)
+        W, C = levels.W(k), levels.levels[k].C
+        ci = np.array([bisect_left(W, c) for c in C], dtype=np.int64)
         rows, cols = suf[:, None], pre[ci][None, :]
         for a in np.unique(rows).tolist():
             for b in np.unique(cols).tolist():
@@ -302,7 +272,6 @@ def _count_extremes(levels, u, n_hi):
                     J[a, b] = count_occurrences(u, suf_str[a] + pre_str[b])
         cnt = (cnt[:, None] + cnt[ci][None, :] + J[rows, cols]).ravel()
         pre, suf = np.repeat(pre, len(C)), np.tile(suf[ci], len(suf))
-        columns.append({c: j for j, c in enumerate(C)})
         out.append((int(cnt.min()), int(cnt.max())))
     return out
 
@@ -313,16 +282,15 @@ def _interval(u, n, extremes):
                              b=Fraction(hi, 2 ** n))
 
 
-def interval_rows(levels, u, n_max=None):
+def interval_rows(levels, u):
     """(n, a_n, b_n, Delta_n) rows for every built level, exact rationals,
     all levels from one pass of the recursion."""
     n_lo = 0
     while 2 ** n_lo < len(u):
         n_lo += 1
-    n_hi = levels.deepest if n_max is None else min(n_max, levels.deepest)
-    ext = _count_extremes(levels, u, n_hi)
+    ext = _count_extremes(levels, u, levels.deepest)
     return [(n, iv.a, iv.b, iv.delta)
-            for n in range(n_lo, n_hi + 1)
+            for n in range(n_lo, levels.deepest + 1)
             for iv in [_interval(u, n, ext[n])]]
 
 
@@ -463,11 +431,8 @@ def _junctions(levels, ks, r):
     parts = [({w[-r:] for w in levels.W(k)}, {c[:r] for c in levels.levels[k].C})
              for k in ks]
     pairs = sum(len(sufs) * len(pres) for sufs, pres in parts)
-    need = pairs * (2 * r + _SET_MEMBER_BYTES)
-    budget = max_bytes_budget(levels.params.memory_budget)
-    if need > budget:
-        raise ValueError("budget: up to %d junction strings of %d letters need "
-                         "about %d bytes > %d" % (pairs, 2 * r, need, budget))
+    check_budget(pairs * (2 * r + _SET_MEMBER_BYTES), levels.params.max_bytes,
+                 "up to %d junction strings of %d letters need about" % (pairs, 2 * r))
     return sorted({s + p for sufs, pres in parts for s in sufs for p in pres})
 
 
@@ -476,7 +441,7 @@ def _language_counts(levels, depth, cap):
     words, from one census of the junction strings of levels < depth."""
     host = "|".join(_junctions(levels, range(depth), cap - 1))
     return WindowCensus(host, cap, separators="|",
-                        max_bytes=levels.params.memory_budget).counts
+                        max_bytes=levels.params.max_bytes).counts
 
 
 def language_complexity(levels, cap, depth=None):

@@ -209,11 +209,11 @@ def convolve(f, g, canonical=True):
     return _normal_form(res) if canonical else res
 
 
-def convolve_many(factors, canonical=False):
+def convolve_many(factors):
     out = factors[0]
     for fct in factors[1:]:
         out = convolve(out, fct, canonical=False)
-    return canonicalize(out) if canonical else out
+    return out
 
 
 def canonicalize(f):
@@ -377,6 +377,10 @@ def witness_product(f, l=None):
     n = f.window_radius()
     if l is None:
         l = levels.min_level_for(2 * n + 1) - 1
+    if l < 0:
+        raise ValueError("need l >= 0, got %d" % l)
+    if l + 1 > levels.K:
+        raise ValueError("depth: level %d not built" % (l + 1))
     if 2 * n + 1 > levels.Nt[l + 1]:
         raise ValueError("depth: 2n+1 = %d exceeds Ntilde_%d" % (2 * n + 1, l + 1))
 
@@ -466,6 +470,8 @@ def verify_unit_decomposition(lang, l):
         raise ValueError("verify_unit_decomposition needs the substitution "
                          "language")
     levels = lang.levels
+    if l < 0:
+        raise ValueError("need l >= 0, got %d" % l)
     if l + 1 > levels.K:
         raise ValueError("depth: level %d not built" % (l + 1))
     N = levels.N[l + 1]
@@ -497,7 +503,7 @@ def verify_unit_decomposition(lang, l):
         if theta:
             chain.append(AlgebraElement(lang, {(0, 0, theta): 1}))
         chain.append(AlgebraElement(lang, {(e_u + 2 * N, 0, ""): 1}))
-        prod = convolve_many(chain, canonical=False)
+        prod = convolve_many(chain)
         expect = {(0, 0, u): prod._c(1)}
         if prod.terms != expect:
             raise AssertionError("chain does not reproduce I_u")
@@ -541,7 +547,7 @@ def _ceil_power(K, n, gamma):
     return r if r ** qg == val else r + 1
 
 
-def ret_bracket_report(lang, n, l=None, seed=0):
+def ret_bracket_report(lang, n, seed=0):
     """Finite-scale bracket on the return function:
       lower: Ret_V(8n) >= ceil((Rec_w(n) - n) / 2), certified by the witness
              pair (u, v): u a length-n factor, v a factor of length Rec-1
@@ -553,6 +559,9 @@ def ret_bracket_report(lang, n, l=None, seed=0):
     if not isinstance(lang, SubstLanguage):
         raise ValueError("ret_bracket_report needs the substitution language")
     levels = lang.levels
+    gamma = levels.params.gamma
+    if gamma is None:
+        raise ValueError("ret_bracket_report needs gamma-driven levels")
     rec = recurrence_function(levels, n)
     R = rec["rec"]
     s = (R - 1 - n) // 2                      # v has length 2s + n (>= R - 2)
@@ -589,12 +598,8 @@ def ret_bracket_report(lang, n, l=None, seed=0):
         report["type_star_vanish"] = bool(vanish)
         if not vanish:
             raise AssertionError("a sampled type-(*) product does not vanish on v")
-    gamma = levels.params.gamma
-    if gamma is None:
-        raise ValueError("ret_bracket_report needs gamma-driven levels")
     K = _ceil_K(gamma, n)
-    if l is None:
-        l = levels.min_level_for(2 * n + 1) - 1
+    l = levels.min_level_for(2 * n + 1) - 1
     c = 12                                    # proof constant; audit measures
     report["upper"] = {
         "gamma": str(Fraction(gamma)), "l": l, "K": K,

@@ -25,6 +25,7 @@ from .words_core import (
     _SET_MEMBER_BYTES,
     WindowCensus,
     _pattern_window_stats,
+    check_budget,
     max_bytes_budget,
     min_period,
     occurrence_positions,
@@ -88,6 +89,8 @@ def choose_n_sequence(params, J=None):
     With gamma given: n_1 = 2, n_{j+1} = max{2, ceil(N_j^(gamma-1)/3)}.
     J defaults to the deepest level whose master words fit the byte budget.
     """
+    if J is not None and J < 1:
+        raise ValueError("depth: need at least one level, got %d" % J)
     budget = max_bytes_budget(params.max_bytes)
     ns = []
     Ns = [1]
@@ -102,11 +105,9 @@ def choose_n_sequence(params, J=None):
         else:
             nxt = ceil_rational_power_over_3(Ns[-1], params.gamma - 1)
         N_next = Ns[-1] * 3 * nxt
-        if 2 * N_next > budget:
-            if J is None:
-                break
-            raise ValueError("budget: level %d master words need %d bytes > %d"
-                             % (j + 1, 2 * N_next, budget))
+        if J is None and 2 * N_next > budget:
+            break
+        check_budget(2 * N_next, params.max_bytes, "level %d master words need" % (j + 1))
         ns.append(nxt)
         Ns.append(N_next)
         j += 1
@@ -230,11 +231,8 @@ def subst_factor_set(levels, n):
     string when the p(n) set members could exceed the byte budget."""
     census = levels.census(levels.min_level_for(n), need=n)
     p = census.count(n)
-    need = p * (n + _SET_MEMBER_BYTES)
-    budget = max_bytes_budget(levels.params.max_bytes)
-    if need > budget:
-        raise ValueError("budget: %d length-%d factors need up to %d bytes > %d"
-                         % (p, n, need, budget))
+    check_budget(p * (n + _SET_MEMBER_BYTES), levels.params.max_bytes,
+                 "%d length-%d factors need up to" % (p, n))
     host = census.host
     return frozenset(host[b[0]:b[0] + n] for b in census.blocks(n))
 

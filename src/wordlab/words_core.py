@@ -35,6 +35,15 @@ def max_bytes_budget(override=None):
     return DEFAULT_MAX_BYTES
 
 
+def check_budget(need, override, what):
+    """The one byte-budget gate: raise ValueError when need exceeds the
+    budget of max_bytes_budget(override).  The message is "budget: ", then
+    what, which ends in its verb, then need and the budget."""
+    budget = max_bytes_budget(override)
+    if need > budget:
+        raise ValueError("budget: %s %d bytes > %d" % (what, need, budget))
+
+
 def count_occurrences(pattern, host):
     """Number of (overlapping) occurrences of pattern in host."""
     if len(pattern) == 0:
@@ -78,6 +87,14 @@ def min_period(word, d_max=None):
 # and its share of the hash table (91-109 bytes measured on 64-bit CPython
 # 3.11 for n = 20..100)
 _SET_MEMBER_BYTES = 112
+
+# bytes a listed word takes beyond its letters: the 49-byte str header and
+# its 8-byte list slot
+_LISTED_WORD_BYTES = 57
+
+
+def _words_bytes(count, length):
+    return count * (length + _LISTED_WORD_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +298,8 @@ class WindowCensus:
         m = min(cap, 64 // bits)
         # the per-char peak, the padding past the end (cap + 1 int32 ranks,
         # cap uint64 codes) and the slack for the least chunk
-        need = _CENSUS_BYTES_PER_CHAR * L + 12 * (cap + 1) + _CENSUS_SLACK
-        budget = max_bytes_budget(max_bytes)
-        if need > budget:
-            raise ValueError("budget: census of %d chars at cap %d needs about "
-                             "%d bytes > %d" % (L, cap, need, budget))
+        check_budget(_CENSUS_BYTES_PER_CHAR * L + 12 * (cap + 1) + _CENSUS_SLACK,
+                     max_bytes, "census of %d chars at cap %d needs about" % (L, cap))
         if L + cap >= 2**31:
             raise ValueError("census of %d chars at cap %d: positions past "
                              "int32" % (L, cap))

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .words_core import WindowCensus, max_bytes_budget
+from .words_core import WindowCensus, _words_bytes, max_bytes_budget
 
 # certified rational lower bound for alpha = log 4 / log 3: 3^29 < 4^23
 _ALPHA_LO = (29, 23)
@@ -33,7 +33,7 @@ if not 3**29 < 4**23:
 class XkParams:
     r: int = 2
     max_level: int = 8
-    memory_budget: int = None
+    max_bytes: int = None
 
     def __post_init__(self):
         if self.r < 2:
@@ -67,29 +67,23 @@ def checkpoints(r, up_to):
 
 
 def _phase(m, r):
-    """Phase of level m >= 3."""
-    ks = checkpoints(r, m)
-    kl = max(k for k in ks if k < m)
+    """Phase of level m >= 2; X_2 = X_1 0 X_1 is the first squaring level."""
+    kl = max((k for k in checkpoints(r, m) if k < m), default=1)
     return "squaring" if m <= kl + r else "chained"
 
 
 def build_xk_levels(params):
     """Levels 1..max_level; word lists explicit while they fit the budget."""
-    budget = max_bytes_budget(params.memory_budget)
+    budget = max_bytes_budget(params.max_bytes)
     levels = [None, XkLevel(k=1, n=1, s=2, phase="base", words=["1", "2"])]
     for m in range(2, params.max_level + 1):
-        n_prev = levels[m - 1].n
-        s_prev = levels[m - 1].s
-        n_m = 3 * n_prev
-        if m == 2:
-            phase = "squaring"          # the defining step X_2 = X_1 0 X_1
-        else:
-            phase = _phase(m, params.r)
-        s_m = s_prev * s_prev if phase == "squaring" else s_prev
-        words = None
         parent = levels[m - 1]
-        if parent.explicit and s_m * n_m <= budget:
-            zeros = "0" * n_prev
+        n_m = 3 * parent.n
+        phase = _phase(m, params.r)
+        s_m = parent.s ** 2 if phase == "squaring" else parent.s
+        words = None
+        if parent.explicit and _words_bytes(s_m, n_m) <= budget:
+            zeros = "0" * parent.n
             if phase == "squaring":
                 words = sorted(a + zeros + b for a in parent.words for b in parent.words)
             else:
@@ -119,8 +113,9 @@ def de_bruijn_pairs(k):
 class XkOracle:
     """Exact language oracle for the limit word w of the construction.
 
-    Queries are answered from the deepest explicit level; lengths beyond
-    n_E (E = deepest explicit level) are out of reach and raise.
+    A query of length n is answered from the search host of the least
+    level d with n <= n_d; lengths beyond n_E (E = deepest explicit
+    level) are out of reach and raise.
     """
 
     def __init__(self, params=None):
@@ -201,29 +196,25 @@ class XkOracle:
                              "(deepest explicit is %d)" % (n, d, self.E))
         return d
 
-    def census(self, cap, d=None):
-        """Window census of the level-d search host (d defaults to minimal)."""
-        if d is None:
-            d = self._host_level_for(cap)
-        if cap > self.level(d).n:
-            raise ValueError("census cap %d exceeds n_%d" % (cap, d))
-        key = (d, cap)
-        if key not in self._census:
-            self._census[key] = WindowCensus(self.search_host(d), cap,
-                                             max_bytes=self.params.memory_budget)
-        return self._census[key]
+    def census(self, cap):
+        """Window census of the search host of the least level covering cap:
+        one per level, rebuilt only when a larger cap is asked for."""
+        d = self._host_level_for(cap)
+        c = self._census.get(d)
+        if c is None or c.cap < cap:
+            c = self._census[d] = WindowCensus(self.search_host(d), cap,
+                                               max_bytes=self.params.max_bytes)
+        return c
 
     def complexity(self, n):
         """Exact p_w(n)."""
         if n == 0:
             return 1
         d = self._host_level_for(n)
-        # reuse any cached census of the same host that is deep enough
-        for (dd, cap), c in self._census.items():
-            if dd == d and cap >= n:
-                return c.count(n)
-        cap = min(self.level(d).n, max(64, 1 << (n - 1).bit_length()))
-        return self.census(cap, d=d).count(n)
+        c = self._census.get(d)
+        if c is None or c.cap < n:
+            c = self.census(min(self.level(d).n, max(64, 1 << (n - 1).bit_length())))
+        return c.count(n)
 
     def contains(self, u):
         if u == "":
@@ -238,8 +229,7 @@ def xk_complexity_table(oracle, n_lo, n_hi):
     rational lower bound alpha >= 29/23 (3^29 < 4^23)."""
     if not (1 <= n_lo <= n_hi):
         raise ValueError("bad range")
-    d = oracle._host_level_for(n_hi)
-    census = oracle.census(n_hi, d=d)
+    census = oracle.census(n_hi)
     p = {n: census.count(n) for n in range(n_lo, n_hi + 1)}
     dp = {n: p[n] - p[n - 1] for n in range(n_lo + 1, n_hi + 1)}
     r = oracle.params.r
@@ -254,22 +244,20 @@ def xk_complexity_table(oracle, n_lo, n_hi):
     return {"p": p, "p_prime": dp, "bound_alpha_2r_ok": bound_ok}
 
 
-def verify_xk_structure(oracle, k_max=None):
+def verify_xk_structure(oracle):
     """The structural facts, checked exhaustively on explicit levels:
     (1) every word starts and ends in {1,2};
     (2) each word of X_k extends to X_{k+1} words across 0^{n_k} on both sides;
     (3) prefixes/suffixes of length n_d of deeper-level words are X_d words
         (shorter prefixes follow by prefix closure)."""
-    if k_max is None:
-        k_max = oracle.E
     report = {"boundary_letters": {}, "extension": {}, "pushdown": {}}
-    for k in range(1, min(k_max, oracle.E) + 1):
+    for k in range(1, oracle.E + 1):
         lv = oracle.level(k)
         ok = all(wd[0] in "12" and wd[-1] in "12" for wd in lv.words)
         report["boundary_letters"][k] = ok
         if not ok:
             raise AssertionError("level %d word with 0 at the boundary" % k)
-    for k in range(1, min(k_max, oracle.E - 1) + 1):
+    for k in range(1, oracle.E):
         lv, nxt = oracle.level(k), oracle.level(k + 1)
         zeros = "0" * lv.n
         prefixes = set(wd[:lv.n + lv.n] for wd in nxt.words)
@@ -279,7 +267,7 @@ def verify_xk_structure(oracle, k_max=None):
         report["extension"][k] = ok
         if not ok:
             raise AssertionError("extension fact fails at level %d" % k)
-    for k in range(2, min(k_max, oracle.E) + 1):
+    for k in range(2, oracle.E + 1):
         lv = oracle.level(k)
         for d in range(1, k):
             nd = oracle.level(d).n
@@ -306,8 +294,8 @@ def spike_parameters(oracle, l):
     # and the chained phase keeps it constant up to k_{l+1}
     s = 2
     for m in range(2, kl + r + 1):
-        phase = "squaring" if (m == 2 or _phase(m, r) == "squaring") else "chained"
-        s = s * s if phase == "squaring" else s
+        if _phase(m, r) == "squaring":
+            s *= s
     return t, s, n, (n + 1, n + 3 * t)
 
 
@@ -365,14 +353,12 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     r = oracle.params.r
     t, s, n, (wlo, whi) = spike_parameters(oracle, l)
     ks = checkpoints(r, 10**9)
-    d_host = ks[l] + 1                    # X_{k_{l+1}} feeds the host of depth k_{l+1}
+    d_host = ks[l] + 1                    # the level of n + 3t <= 3n = n_{k_{l+1}+1}
     if d_host > oracle.E:
         raise ValueError("budget: checkpoint l=%d needs level %d explicit" % (l, d_host))
-    if oracle.level(d_host).n < whi:
-        raise AssertionError("host level too shallow for the window")
-    host = oracle.search_host(d_host)
+    census = oracle.census(whi)
+    host = census.host
     L = len(host)
-    census = oracle.census(whi, d=d_host)
 
     p = {m: census.count(m) for m in range(n, whi + 1)}
     ts2 = t * s * s

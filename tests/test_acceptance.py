@@ -152,7 +152,7 @@ def test_criterion_07_spike(xk):
     # search host, not of w
     assert rep["p_n"] == 29193 and rep["extensions_rechosen"] == 1028
     assert rep["p_n3t"] <= 11 * 1769472
-    census = xk.census(162, d=6)
+    census = xk.census(162)
     table = json.dumps([census.count(n) for n in range(1, 163)])
     assert hashlib.sha256(table.encode()).hexdigest() \
         == "260a4015359d659f24d7e3d314283b5d1d5feebfd7ae0cdf8d4fbb11402fee82"

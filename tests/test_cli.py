@@ -150,6 +150,18 @@ def test_max_bytes_floor(capsys):
     assert code == 2 and "max_bytes" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("algebra", "witness-product", "--proj", "c"),
+    ("algebra", "witness-product", "--l", "10"),
+    ("algebra", "decompose-identity", "--l", "-1"),
+    ("subst", "--levels", "0", "build"),
+], ids=["proj-c", "witness-l10", "decompose-l-1", "levels-0"])
+def test_bad_algebra_and_subst_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_census_budget_exits_2(capsys):
     # Rec(108) takes a cap-108 census of each 3,359,232-char level-4 master,
     # estimated at 20 bytes a char: about 67.3 MB > 64 MiB

@@ -120,12 +120,12 @@ def test_level_product_rule(levels):
 
 
 def test_queue_consumption_trace(levels):
-    consumed = [row["k"] for row in levels.run_log if row["consumed_head"]]
-    assert consumed == [0, 4, 6]
-    for k in consumed:
-        lv = levels.levels[k]
-        assert len(lv.C) == 1 and lv.C[0].startswith(lv.queue_head)
-        assert 2 ** k >= len(lv.queue_head)
+    consumed = [row for row in levels.run_log if row["consumed_head"]]
+    assert [row["k"] for row in consumed] == [0, 4, 6]
+    for row in consumed:
+        lv = levels.levels[row["k"]]
+        assert len(lv.C) == 1 and lv.C[0].startswith(row["queue_head"])
+        assert 2 ** row["k"] >= len(row["queue_head"])
 
 
 def test_queue_lengths(levels):
@@ -135,7 +135,7 @@ def test_queue_lengths(levels):
         assert row["queue_len"] == expect
         if lv.C is not None:
             expect += len(levels.levels[lv.k + 1].W)
-            if lv.consumed:
+            if row["consumed_head"]:
                 expect -= 1
 
 
@@ -237,11 +237,24 @@ def test_deepest_level_built_on_first_read(params):
 def test_deepest_level_budget_checked_before_allocating(params):
     # levels 0..7 take about 160 KB; the 131,072 words of W(8) about 41 MB
     lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8,
-                                            memory_budget=10 ** 6))
+                                            max_bytes=10 ** 6))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="^budget: W\\(8\\) needs"):
             lv.W(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
+
+
+def test_levels_budget_checked_before_allocating(params):
+    # levels 0..7 take about 160 KB as word lists
+    small = ErgodicParams(f=params.f, max_level=8, max_bytes=10 ** 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^budget: levels need about"):
+            build_ergodic_levels(small)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,7 +322,7 @@ def test_sandwich_top_row_refused_by_budget(params):
     # row K-1 at K = 8 needs a census of a 16.8M-char host at cap 128; under
     # a 256 MB budget it is refused before the census allocates
     lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8,
-                                            memory_budget=256 * 2 ** 20))
+                                            max_bytes=256 * 2 ** 20))
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="^budget: "):
         verify_sandwich(lv, k_max=7)
@@ -320,7 +333,7 @@ def test_junction_strings_checked_against_budget(params):
     # the default sandwich at K = 8 joins up to 1,110 junction strings of 126
     # letters, about 264 KB as set members
     lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8))
-    lv.params.memory_budget = 10 ** 5
+    lv.params.max_bytes = 10 ** 5
     with pytest.raises(ValueError, match="^budget: up to 1110 junction strings"):
         verify_sandwich(lv)
 

@@ -51,3 +51,21 @@ def test_public_names_are_used_in_src():
         and not any(node.name in names for other, names in stmts
                     if other is not node))
     assert unused == sorted(USED_OUTSIDE_SRC)
+
+
+def test_budget_refusal_raised_in_one_place():
+    # every byte-budget refusal goes through words_core.check_budget, so the
+    # budget is resolved and compared in one place
+    src = pathlib.Path(wordlab.__file__).parent
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and "bytes >" in node.value
+    ]
+    check = next(node for node in ast.parse((src / "words_core.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_budget")
+    assert len(found) == 1
+    name, line = found[0]
+    assert name == "words_core.py" and check.lineno <= line <= check.end_lineno

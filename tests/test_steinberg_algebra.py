@@ -466,3 +466,16 @@ def test_witness_product_fails_under_python_O(run_python_O):
     assert proc.stdout == ""
     doc = json.loads(proc.stderr)
     assert doc["witness"] == {"failed_assertion": "condition (iii) fails"}
+
+
+def test_ret_bracket_refuses_explicit_n_list_first(monkeypatch):
+    # the usage error comes before any recurrence work
+    import wordlab.steinberg_algebra as sa
+    calls = []
+    real = sa.recurrence_function
+    monkeypatch.setattr(sa, "recurrence_function",
+                        lambda levels, n: calls.append(n) or real(levels, n))
+    lang = SubstLanguage(build_substitution_levels(SubstParams(n_list=[2, 2, 12])))
+    with pytest.raises(ValueError, match="needs gamma-driven levels"):
+        ret_bracket_report(lang, 18)
+    assert calls == []

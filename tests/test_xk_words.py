@@ -239,3 +239,29 @@ def test_level6_contains_agrees_with_zero_joined_host(oracle6):
     assert not any(u in old for u in non_factors)
     assert all(oracle6.contains(u) for u in factors)
     assert not any(oracle6.contains(u) for u in non_factors)
+
+
+def test_one_census_per_host_level(oracle6):
+    # caps from the largest down: each level's census is built at its first
+    # (largest) cap, and every smaller cap on that level reads it
+    built = {}
+    for cap in (243, 162, 82, 81, 28, 27, 10, 9, 4, 3, 1):
+        d = oracle6.min_sufficient_level(cap)
+        census = oracle6.census(cap)
+        assert census.host is oracle6.search_host(d), cap
+        assert census.cap >= cap
+        assert built.setdefault(d, census) is census, cap
+    assert sorted(built) == [1, 2, 3, 4, 5, 6]
+    assert oracle6.complexity(200) == built[6].count(200)
+    # a larger cap on a built level replaces its census
+    small = XkOracle(XkParams(r=2, max_level=4))
+    first = small.census(4)
+    assert (first.cap, small.census(9).cap) == (4, 9)
+    assert small.census(9) is not first and small.census(5) is small.census(9)
+
+
+def test_spike_parameters_second_checkpoint(oracle):
+    # k_2 = 5 and k_3 = 17 at r = 2: t = n_7, s = s_7 = 2^32 after the
+    # squarings at levels 2-4 and 6-7, n = n_17; a closed form, no level 17
+    assert spike_parameters(oracle, 2) == (729, 2**32, 3**16,
+                                           (43046722, 43048908))
