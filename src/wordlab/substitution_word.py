@@ -98,6 +98,9 @@ def choose_n_sequence(params, J=None):
     while True:
         if params.n_list is not None:
             if j >= len(params.n_list):
+                if J is not None:
+                    raise ValueError("depth: n_list gives %d levels, %d asked"
+                                     % (len(params.n_list), J))
                 break
             nxt = params.n_list[j]
         elif j == 0:
@@ -341,6 +344,8 @@ def recurrence_function(levels, n):
 def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
     """Consolidated checks: the every-7N_k containment, aperiodicity,
     p(n) vs 14n, and recurrence bound/exponent diagnostics."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0, got %d" % k_max)
     report = {"gamma": str(levels.params.gamma) if levels.params.gamma is not None else None}
 
     every7 = {}

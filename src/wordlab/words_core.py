@@ -10,8 +10,9 @@
 # for every length n <= cap, the number of distinct windows and the
 # occurrence positions of each, a run of the suffix array.  It sorts
 # suffixes by prefix doubling from packed letter codes (numpy): every round
-# is one value sort, the last round reaches exactly cap, only the current
-# rank level is kept, and the lcp is computed only where the rank changes.
+# is one sort of packed rank tuples keyed by position, the last round
+# reaches exactly cap, only the current rank level is kept, and the lcp is
+# computed only where the rank changes.
 # It checks the byte budget before it allocates.
 
 import os
@@ -178,30 +179,37 @@ def sliding_containment_scan(host, K, patterns):
 # as -1) and vlen[i] the separator-free run length starting at sa[i], capped
 # at cap.
 #
-# The sort is Manber-Myers prefix doubling started from packed codes: the
-# host's sigma letters are coded 1..sigma in letter order, 0 past the end, in
-# b = sigma.bit_length() bits, so each position's next m = min(cap, 64 // b)
-# letters fit one uint64 (m = 32 for three letters).  Level 0 value-sorts
-# those codes and ranks every m-letter window by searchsorted into the
-# distinct ones.  A round from rank_k to rank_{k+s} needs no argsort: the
-# previous order shifted by s lists the positions by rank_k(i+s), those whose
-# i+s is past the end first, and one in-place sort of the int64 values
-# rank_k(i) << 31 | place (place = index in that list) orders them by
-# (rank_k(i), rank_k(i+s)).  Rounds double k while 2k <= cap; the last takes
-# s = cap - k, so its two overlapping k-windows cover exactly [i, i+cap), and
-# sorted neighbours of equal rank have lcp = cap.  Only the current rank level
-# is kept.  A window that runs past the host end holds the end code 0, which
-# no letter has, so its rank is unique from level 0 on.  The exact lcp is
-# taken only at the block boundaries, the neighbours of different rank, by
-# comparing m-letter codes packed again after the doubling.
+# The sort is Manber-Myers prefix doubling, every round one in-place sort of
+# int64 keys whose low pb bits hold the position i (pb = (L-1).bit_length()),
+# so equal high bits tie by position.  Level 0 codes the host's sigma letters
+# 1..sigma in letter order, 0 past the end, in b = sigma.bit_length() bits,
+# and packs i's next (63 - pb) // b letters above i.  After a sort, new ranks
+# start where the high bits change; the dense ranks 1..D are one chunked
+# cumsum, written back by position, and every position past the end reads rank
+# 0.  The next round packs the ranks of q windows at offsets 0, k, 2k, ..., q
+# as large as q D.bit_length() + pb <= 63, read off contiguous slices of the
+# rank level, so a round gathers nothing; when q k passes cap, the last offset
+# is cap - k, and the overlapping windows cover exactly [i, i+cap).  A window
+# that runs past the host end holds the end code 0, which no letter has, so
+# its rank is unique from level 0 on, and a window starting past the end reads
+# 0, below every letter: the key order is the order of the truncated
+# suffixes.  When not even two ranks fit, the round sorts rank_k(i) << pb |
+# place instead, where place indexes the positions listed by rank_k(i+s) (i+s
+# past the end first, then the previous order shifted by s), and splits equal
+# rank_k(i) where rank_k(i+s) differs.  The order of the last sort is sa, and
+# sorted neighbours of equal high bits have lcp = cap.  Only the current rank
+# level is kept.  The exact lcp is taken only at the block boundaries, the
+# neighbours of different rank, by comparing m-letter codes packed after the
+# doubling, m = min(cap, 64 // b).
 
-# bytes a host position takes at the build's peak: a doubling round holds
-# the int32 rank level and order, the int64 sort values, a bool boundary
-# flag and the encoded host (4 + 4 + 8 + 1 + 1 = 18); level 0 (the packed
-# codes, their sorted copy, the flags, the host) and the lcp pass (the packed
-# codes, int32 sa and lcp, the flags, the host) hold as much.  The chunked
-# temporaries take under 80 bytes a chunk entry: under 2 bytes a host
-# position, or 80 KiB at the least chunk
+# bytes a host position takes at the build's peak: level 0 holds the bool
+# boundary flags, the packed codes, the int64 keys and the encoded host
+# (1 + 8 + 8 + 1 = 18); a round holds the flags, the keys, the int32 rank
+# level and sa, whose buffer a round that cannot pack two ranks fills with
+# the positions by rank_k(i+s), and the host (1 + 8 + 4 + 4 + 1 = 18); the
+# lcp pass (the flags, the packed codes, int32 sa and lcp, the host) holds
+# as much.  The chunked temporaries take under 80 bytes a chunk entry: under
+# 2 bytes a host position, or 80 KiB at the least chunk
 _CENSUS_BYTES_PER_CHAR = 20
 _CENSUS_SLACK = 2**17
 
@@ -296,88 +304,98 @@ class WindowCensus:
         lut[seen] = np.arange(1, sigma + 1, dtype=np.uint64)
         bits = sigma.bit_length()
         m = min(cap, 64 // bits)
-        # the per-char peak, the padding past the end (cap + 1 int32 ranks,
-        # cap uint64 codes) and the slack for the least chunk
+        # the per-char peak, the padding past the end (cap int32 ranks, cap
+        # uint64 codes) and the slack for the least chunk
         check_budget(_CENSUS_BYTES_PER_CHAR * L + 12 * (cap + 1) + _CENSUS_SLACK,
                      max_bytes, "census of %d chars at cap %d needs about" % (L, cap))
         if L + cap >= 2**31:
             raise ValueError("census of %d chars at cap %d: positions past "
                              "int32" % (L, cap))
-        place_bits = np.int64(31)
-        place_mask = np.int64(2**31 - 1)
+        pb = (L - 1).bit_length()           # bits of a position
+        mask = (1 << pb) - 1
+        free = 63 - pb                      # key bits above the position
         fresh = np.empty(L, dtype=bool)     # fresh[t]: sorted t starts a rank
         fresh[0] = True
 
-        # level 0: the sorted distinct m-letter codes, compacted in place,
-        # and each position's rank among them, written into the packed
-        # codes' buffer behind the codes still unread; past the end unique
-        # negative ranks, so comparisons there fail
-        packed = _pack_windows(arr, lut, m, bits, L + cap)
-        codes = np.sort(packed[:L])
-        u = 1
-        for lo, hi in _spans(L, 1):
-            part = codes[lo:hi][codes[lo:hi] != codes[lo - 1:hi - 1]]
-            codes[u:u + len(part)] = part
-            u += len(part)
-        codes = codes[:u]
-        level0 = packed.view(np.int32)
+        # level 0: the key of i is its next k letters' packed codes << pb | i
+        k = min(cap, free // bits)
+        packed = _pack_windows(arr, lut, k, bits, L + k)
+        key = np.empty(L, dtype=np.int64)
         for lo, hi in _spans(L):
-            level0[lo:hi] = np.searchsorted(codes, packed[lo:hi])
-        del codes
-        rank = np.empty(L + cap + 1, dtype=np.int32)
-        rank[:L] = level0[:L]
-        rank[L:] = -np.arange(1, cap + 2, dtype=np.int32)
-        del packed, level0
-
-        def sort_ranks(by):
-            # reorder the positions by[place] by (rank, place) with one sort
-            # of the values rank << 31 | place, and mark in fresh where a new
-            # rank starts.  The int32 order is written into the sorted
-            # values' own buffer, behind the values still unread, then back
-            # into by
-            key = np.empty(L, dtype=np.int64)
-            for lo, hi in _spans(L):
-                part = key[lo:hi]
-                part[:] = rank[by[lo:hi]]
-                part <<= place_bits
-                part |= np.arange(lo, hi)
+            np.left_shift(packed[lo:hi].view(np.int64), pb, out=key[lo:hi])
+            key[lo:hi] |= np.arange(lo, hi)
+        del packed
+        rank = np.zeros(L + cap, dtype=np.int32)
+        # the order of the last sort; until then, a fallback round's
+        # positions by rank_k(i + s).  Allocated here, as fresh is before
+        # level 0: allocated after the rounds, the same bytes leave a heap
+        # that a caller's next large arrays reuse worse (13 MB more peak RSS
+        # in perfbench's xk-ergodic)
+        sa = np.empty(L, dtype=np.int32)
+        s = 0                               # a fallback round's shift
+        while True:
             key.sort()
             for lo, hi in _spans(L, 1):
-                np.not_equal(key[lo:hi] >> place_bits, key[lo - 1:hi - 1] >> place_bits,
-                             out=fresh[lo:hi])
-            out = key.view(np.int32)
-            for lo, hi in _spans(L):
-                out[lo:hi] = by[key[lo:hi] & place_mask]
-            by[:] = out[:L]
-
-        # the level-0 order: ties by position
-        order = np.arange(L, dtype=np.int32)
-        sort_ranks(order)
-        k = m
-        while k < cap:
-            s = min(k, cap - k)
-            # the positions by rank_k(i+s): i+s past the end first, then the
-            # order shifted by s, compacted in place from the right
-            top = L
-            for lo, hi in reversed(_spans(L)):
-                part = order[lo:hi][order[lo:hi] >= s] - s
-                order[top - len(part):top] = part
-                top -= len(part)
-            order[:top] = np.arange(L - top, L, dtype=np.int32)
-            sort_ranks(order)
-            # equal rank_k(i): a new rank where rank_k(i+s) differs, then the
-            # dense ranks in sorted order replace rank_k
-            for lo, hi in _spans(L, 1):
-                fresh[lo:hi] |= rank[order[lo:hi] + s] != rank[order[lo - 1:hi - 1] + s]
-            base = -1
+                high = key[lo - 1:hi] >> pb
+                np.not_equal(high[1:], high[:-1], out=fresh[lo:hi])
+            if s:
+                # the low bits hold places in sa; put the positions back,
+                # then split equal rank_k(i) where rank_k(i + s) differs
+                for lo, hi in _spans(L):
+                    at = sa[key[lo:hi] & mask]
+                    key[lo:hi] &= ~mask
+                    key[lo:hi] |= at
+                for lo, hi in _spans(L, 1):
+                    at = key[lo - 1:hi] & mask
+                    at += s
+                    there = rank[at]
+                    fresh[lo:hi] |= there[1:] != there[:-1]
+            if k == cap:
+                break
+            # the dense ranks 1..D in sorted order replace rank_k; past the
+            # end stays 0
+            D = 0
             for lo, hi in _spans(L):
                 dense = np.cumsum(fresh[lo:hi], dtype=np.int32)
-                dense += base
-                rank[order[lo:hi]] = dense
-                base = int(dense[-1])
-            k += s
+                dense += D
+                rank[key[lo:hi] & mask] = dense
+                D = int(dense[-1])
+            rb = D.bit_length()
+            q = free // rb
+            if q >= 2:
+                # the ranks of q windows at offsets 0, k, 2k, ..., the last
+                # at cap - k when q k passes cap, above the position
+                nxt = min(q * k, cap)
+                offsets = [min(j * k, nxt - k) for j in range(-(-nxt // k))]
+                for lo, hi in _spans(L):
+                    key[lo:hi] = rank[lo:hi]
+                    for off in offsets[1:]:
+                        key[lo:hi] <<= rb
+                        key[lo:hi] |= rank[lo + off:hi + off]
+                    key[lo:hi] <<= pb
+                    key[lo:hi] |= np.arange(lo, hi)
+                k, s = nxt, 0
+            else:
+                # not two ranks fit: rank_k(i) << pb | place, the place of i
+                # in sa listing the positions by rank_k(i + s): i + s past
+                # the end first, then the sorted order shifted by s
+                s = min(k, cap - k)
+                top = min(s, L)
+                sa[:top] = np.arange(L - top, L, dtype=np.int32)
+                for lo, hi in _spans(L):
+                    at = key[lo:hi] & mask
+                    at = at[at >= s] - s
+                    sa[top:top + len(at)] = at
+                    top += len(at)
+                for lo, hi in _spans(L):
+                    key[lo:hi] = rank[sa[lo:hi]]
+                    key[lo:hi] <<= pb
+                    key[lo:hi] |= np.arange(lo, hi)
+                k += s
         del rank
-        sa = order
+        for lo, hi in _spans(L):
+            sa[lo:hi] = key[lo:hi] & mask
+        del key
 
         # capped lcp of the sorted neighbours of different rank (equal rank
         # means lcp = cap), a chunk at a time: step through both windows m

@@ -162,6 +162,20 @@ def test_bad_algebra_and_subst_arguments_exit_2(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("subst", "--n-list", "2,2", "--levels", "5", "build"),
+     "error: depth: n_list gives 2 levels, 5 asked"),
+    (("subst", "--gamma", "2", "verify", "--k-max", "-1"),
+     "error: k_max must be >= 0, got -1"),
+], ids=["n-list-short-of-levels", "k-max-1"])
+def test_subst_refuses_what_it_cannot_check(capsys, argv, message):
+    # an n_list shorter than --levels used to build K = 2; a negative k_max
+    # used to pass having checked nothing
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
 def test_census_budget_exits_2(capsys):
     # Rec(108) takes a cap-108 census of each 3,359,232-char level-4 master,
     # estimated at 20 bytes a char: about 67.3 MB > 64 MiB

@@ -205,10 +205,10 @@ def _slice_census(host, cap, seps):
 
 
 def test_window_census_arrays_match_slice_sort():
-    # three letters and "|" take 3 bits, so m = 21 letters a code; one
-    # letter, m = 64.  Caps below and at m, at m 2^j, strictly between two
-    # doubling steps (the exact-cap last round), hosts shorter than a round's
-    # shift, and separators at both ends
+    # three letters and "|" take 3 bits a letter, one letter 1 bit.  Caps
+    # from below the level-0 width to a few rounds past it, strictly
+    # between two rounds (the exact-cap last round), hosts shorter than a
+    # round's offsets, and separators at both ends
     rng = random.Random(21)
     cases = []
     for letters, caps in (("abc|", (5, 20, 21, 42, 84, 30, 63, 100)),
@@ -232,6 +232,51 @@ def test_window_census_arrays_match_slice_sort():
                                  if "|" not in host[i:i + n]))
             assert [b.tolist() for b in c.blocks(n)] == \
                 [[i for i in sa if host[i:i + n] == w] for w in windows], (host, cap, n)
+    # hosts of 2^j and 2^j + 1 letters, where the position bits pb and so
+    # the level-0 width (63 - pb) // bits change.  Ranks take at most
+    # pb + 1 bits, so rounds pack 3 to 7 windows; caps that are no multiple
+    # of the width end on a window overlapping at cap - k, and "abc|" at
+    # 129 letters and more stops a round at 6 windows (108 letters) short of
+    # cap 120, then takes a 2-window round at offsets 0 and 12
+    for size in (64, 65, 128, 129, 256, 257):
+        for letters, cap in (("abc|", 120), ("a", 150), ("ab", 90)):
+            host = "".join(rng.choice(letters) for _ in range(size))
+            c = WindowCensus(host, cap, separators="|")
+            sa, lcp, vlen = _slice_census(host, cap, "|")
+            assert c.sa.tolist() == sa, (host, cap)
+            assert c.lcp.tolist() == lcp, (host, cap)
+            assert c.vlen.tolist() == vlen, (host, cap)
+
+
+def test_window_census_fallback_round():
+    # 2.2 M positions take pb = 22 bits, so level 0 packs (63 - 22) // 2 = 20
+    # letters; a random host has nearly 2.2 M distinct 20-letter windows,
+    # whose ranks take 22 bits, and no two ranks fit beside the position.
+    # The round to cap 24 then sorts rank_20(i) << 22 | place, with place
+    # from the level-0 order shifted by 4
+    L = 2_200_000
+    codes = np.random.default_rng(16).integers(0, 3, L, dtype=np.uint8)
+    host = (codes + ord("0")).tobytes().decode("ascii")
+    c = WindowCensus(host, 24)
+    assert c.count(20) >= 2**21
+    # the distinct 2-bit packed windows of each length, counted on a sort
+    codes = codes.astype(np.uint64)
+    for n in (1, 7, 20, 21, 24):
+        packed = np.zeros(L - n + 1, dtype=np.uint64)
+        for j in range(n):
+            packed <<= np.uint64(2)
+            packed |= codes[j:L - n + 1 + j]
+        packed.sort()
+        assert c.count(n) == 1 + np.count_nonzero(packed[1:] != packed[:-1]), n
+    rng = random.Random(16)
+    for t in [rng.randrange(1, L) for _ in range(3000)]:
+        a, b = int(c.sa[t - 1]), int(c.sa[t])
+        u, v = host[a:a + 24], host[b:b + 24]
+        assert (u, a) < (v, b), t
+        h = 0
+        while h < min(len(u), len(v)) and u[h] == v[h]:
+            h += 1
+        assert c.lcp[t] == h, t
 
 
 def _census_need(host, cap):
