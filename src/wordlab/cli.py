@@ -14,17 +14,15 @@
 
 import argparse
 import json
-import math
 import os
-import random
 import sys
 from fractions import Fraction
 
 from .growth_functions import (
     GrowthTable,
     build_superlinear_witness,
-    check_growth_properties,
     discrete_derivative,
+    witness_properties,
 )
 from .words_core import check_budget, max_bytes_budget
 
@@ -95,14 +93,13 @@ def load_config(path):
     return out
 
 
-def emit_report(payload, args, rows=None, columns=None, passed=True,
-                witness=None):
+def emit_report(payload, args, rows=None, columns=None, passed=True):
     """Serialize a run deterministically.
 
     JSON output is the full payload under a versioned header.  CSV output
     needs tabular rows; the header line records seed and command so that
     every report carries its provenance.  A run that did not pass then
-    raises VerificationFailure with the witness (by default the payload).
+    raises VerificationFailure with the payload as its witness.
     """
     command = "%s %s" % (args.family, args.command)
     if args.format == "json":
@@ -133,10 +130,12 @@ def emit_report(payload, args, rows=None, columns=None, passed=True,
     else:
         sys.stdout.write(text)
     if not passed:
-        raise VerificationFailure(payload if witness is None else witness)
+        raise VerificationFailure(payload)
 
 
 # ---------------------------------------------------------------- families
+# Runners map flags to library calls and print what they return; every
+# verdict is a raised check or a report's `pass` key.
 
 # Peak bytes per n of `growth build`, which tabulates f, f' and omega and
 # holds and prints one row per n: from tracemalloc peaks for g = n^2 at
@@ -149,36 +148,25 @@ _GROWTH_BYTES_PER_N = 700
 def run_growth(args):
     g = GrowthTable.from_name(args.g, args.n_max)
     w = build_superlinear_witness(g)           # runs verify_witness
-    if args.command == "build":
-        check_budget(_GROWTH_BYTES_PER_N * args.n_max, args.max_bytes,
-                     "growth build tabulates %d values of f, about" % args.n_max)
-        deriv, flag = discrete_derivative(w.f)
-        rows = [(n, w.f.values[n], deriv.values[n], w.omega[n])
-                for n in range(1, w.f.n_max + 1)]
-        payload = {
-            "g": args.g,
-            "n_max": args.n_max,
-            "d_sequence": w.d,
-            "n0": w.n0,
-            "superlinear_from": w.superlinear_from,
-            "derivative_flag": flag,
-            "table": rows if args.format == "json" else "see CSV",
-        }
-        emit_report(payload, args, rows=rows,
-                    columns=["n", "f", "f_prime", "omega"])
-        return True
-    # check, on the witness's segments: no table of f is built
-    checks = w.checks
-    props = check_growth_properties(w.f)
-    # the construction promises monotonicity, the doubling square bound and
-    # the telescoping bound; submultiplicativity of f is diagnostic only
-    # (it genuinely fails at the marked jumps f(2 d_i) = i f(d_i))
-    payload = {"witness_checks": checks, "f_properties": props}
-    ok = props["nondecreasing"] and all(
-        checks[k] for k in ("strictly_increasing", "doubling_square_bound",
-                            "telescoping_bound", "f_below_g_from_n0"))
-    emit_report(payload, args, passed=ok)
-    return ok
+    if args.command == "check":
+        # on the witness's segments: no table of f is built
+        emit_report(witness_properties(w), args)
+        return
+    check_budget(_GROWTH_BYTES_PER_N * args.n_max, args.max_bytes,
+                 "growth build tabulates %d values of f, about" % args.n_max)
+    deriv, flag = discrete_derivative(w.f)
+    rows = [(n, w.f.values[n], deriv.values[n], w.omega[n])
+            for n in range(1, w.f.n_max + 1)]
+    payload = {
+        "g": args.g,
+        "n_max": args.n_max,
+        "d_sequence": w.d,
+        "n0": w.n0,
+        "superlinear_from": w.superlinear_from,
+        "derivative_flag": flag,
+        "table": rows if args.format == "json" else "see CSV",
+    }
+    emit_report(payload, args, rows=rows, columns=["n", "f", "f_prime", "omega"])
 
 
 def run_xk(args):
@@ -197,37 +185,20 @@ def run_xk(args):
                 for lv in oracle.levels[1:]]
         emit_report({"r": args.r, "levels": rows}, args, rows=rows,
                     columns=["k", "n_k", "s_k", "phase", "storage"])
-        return True
-    if args.command == "complexity":
+    elif args.command == "complexity":
         lo, hi = parse_range(args.n)
         t = xk_complexity_table(oracle, lo, hi)
         rows = [(n, t["p"][n], t["p_prime"].get(n, ""),
                  t["bound_alpha_2r_ok"][n])
                 for n in range(lo, hi + 1)]
-        ok = all(t["bound_alpha_2r_ok"].values())
         emit_report({"range": [lo, hi], "table": rows}, args, rows=rows,
-                    columns=["n", "p", "p_prime", "bound_ok"], passed=ok,
-                    witness={"bound_alpha_2r_ok": t["bound_alpha_2r_ok"]})
-        return True
-    if args.command == "verify-structure":
-        rep = verify_xk_structure(oracle)
-        ok = (all(rep["boundary_letters"].values())
-              and all(rep["extension"].values())
-              and all(all(d.values()) for d in rep["pushdown"].values()))
-        emit_report(rep, args, passed=ok)
-        return True
-    # verify-spike
-    rep = verify_derivative_spike(oracle, l=args.l, epsilon=Fraction(args.epsilon))
-    emit_report(rep, args, passed=rep["pass"])
-    return True
-
-
-# the pieces of f on 1..N: 2^ceil(sqrt(n)) is 2^(k+1) for k^2 < n <= (k+1)^2
-_ERGODIC_F = {
-    "2^ceil-sqrt": lambda N: [(k * k + 1, 0, 0, 2 ** (k + 1))
-                              for k in range(math.isqrt(N - 1) + 1)],
-    "const-2": lambda N: [(1, 0, 0, 2)],
-}
+                    columns=["n", "p", "p_prime", "bound_ok"])
+    elif args.command == "verify-structure":
+        emit_report(verify_xk_structure(oracle), args)
+    else:                                      # verify-spike
+        rep = verify_derivative_spike(oracle, l=args.l,
+                                      epsilon=Fraction(args.epsilon))
+        emit_report(rep, args, passed=rep["pass"])
 
 
 def run_ergodic(args):
@@ -238,14 +209,10 @@ def run_ergodic(args):
         interval_rows,
         verify_interval_nesting,
     )
-    if args.f not in _ERGODIC_F:
-        raise UsageError("unknown f %r; choose from %s"
-                         % (args.f, sorted(_ERGODIC_F)))
     n_max = max(2 ** (args.max_level + 2), 16)
-    table = GrowthTable.from_pieces(_ERGODIC_F[args.f](n_max), n_max)
-    params = ErgodicParams(f=table, max_level=args.max_level,
-                           choice_policy=args.policy, seed=args.seed,
-                           max_bytes=args.max_bytes)
+    params = ErgodicParams(f=GrowthTable.from_name(args.f, n_max),
+                           max_level=args.max_level, choice_policy=args.policy,
+                           seed=args.seed, max_bytes=args.max_bytes)
     levels = build_ergodic_levels(params)
     if args.command == "build":
         rows = [(row["k"], row["c_k"], row["W_size"], row["queue_len"],
@@ -255,20 +222,17 @@ def run_ergodic(args):
                    "ones": sorted(levels.cseq.ones), "log": rows}
         emit_report(payload, args, rows=rows,
                     columns=["k", "c_k", "W_size", "queue_len", "consumed"])
-        return True
-    if args.command == "intervals":
+    elif args.command == "intervals":
         rows = interval_rows(levels, args.u)
         rep = verify_interval_nesting(levels, args.u)
         emit_report({"u": args.u, "rows": rows, "nesting": rep}, args,
                     rows=rows, columns=["n", "a_n", "b_n", "delta_n"],
                     passed=rep["pass"])
-        return True
-    # decompose
-    d = decompose_factor(levels, args.word)
-    rows = [(m, blk) for m, blk in d["blocks"]]
-    emit_report({"word": args.word, "decomposition": d}, args,
-                rows=rows, columns=["level", "block"])
-    return True
+    else:                                      # decompose
+        d = decompose_factor(levels, args.word)
+        rows = [(m, blk) for m, blk in d["blocks"]]
+        emit_report({"word": args.word, "decomposition": d}, args,
+                    rows=rows, columns=["level", "block"])
 
 
 def _subst_levels(args):
@@ -284,7 +248,7 @@ def _subst_levels(args):
 
 def run_subst(args):
     from .substitution_word import (
-        beta_cubed_positions,
+        complexity_rows,
         densities,
         recurrence_function,
         verify_substitution_lemmas,
@@ -295,22 +259,12 @@ def run_subst(args):
                 for k in range(levels.K + 1)]
         emit_report({"gamma": args.gamma, "K": levels.K, "table": rows},
                     args, rows=rows, columns=["k", "n_k", "N_k", "Ntilde_k"])
-        return True
-    if args.command == "complexity":
+    elif args.command == "complexity":
         lo, hi = parse_range(args.n)
-        rows, ok = [], True
-        prev = None
-        for n in range(lo, hi + 1):
-            p = levels.complexity(n)
-            good = p >= n + 1 and (n < levels.Nt[1] or p <= 14 * n)
-            ok = ok and good
-            rows.append((n, p, "" if prev is None else p - prev, good))
-            prev = p
+        rows = complexity_rows(levels, lo, hi)
         emit_report({"range": [lo, hi], "table": rows}, args, rows=rows,
-                    columns=["n", "p", "p_prime", "bounds_ok"], passed=ok,
-                    witness={"rows": rows})
-        return True
-    if args.command == "densities":
+                    columns=["n", "p", "p_prime", "bounds_ok"])
+    elif args.command == "densities":
         rows = []
         for k in range(levels.K + 1):
             d = densities(levels, k)
@@ -319,143 +273,53 @@ def run_subst(args):
         emit_report({"table": rows}, args, rows=rows,
                     columns=["k", "phi_a_alpha", "phi_b_alpha",
                              "phi_a_beta", "phi_b_beta"])
-        return True
-    if args.command == "recurrence":
+    elif args.command == "recurrence":
         rows = []
         for n in [int(x) for x in args.n.split(",")]:
             r = recurrence_function(levels, n)
             rows.append((n, r["rec"], r["upper_bound_7Nk"]))
         emit_report({"table": rows}, args, rows=rows,
                     columns=["n", "rec", "upper_7Nk"])
-        return True
-    # verify
-    rec_samples = [int(x) for x in args.rec_samples.split(",")] \
-        if args.rec_samples else []
-    rep = verify_substitution_lemmas(levels, args.k_max,
-                                     rec_samples=rec_samples, p_max=args.p_max)
-    rep["beta_cubed"] = {k: beta_cubed_positions(levels, k)
-                         for k in range(min(args.k_max, levels.K - 1) + 1)}
-    emit_report(rep, args)
-    return True
-
-
-def _algebra_language(args):
-    from .steinberg_algebra import SubstLanguage
-    return SubstLanguage(_subst_levels(args))
+    else:                                      # verify
+        rec_samples = [int(x) for x in args.rec_samples.split(",")] \
+            if args.rec_samples else []
+        emit_report(verify_substitution_lemmas(levels, args.k_max,
+                                               rec_samples=rec_samples,
+                                               p_max=args.p_max), args)
 
 
 def run_algebra(args):
     from .steinberg_algebra import (
-        AlgebraElement,
-        convolve,
+        SubstLanguage,
         make_generators,
         ret_bracket_report,
+        verify_algebra_identities,
+        verify_random_witness_products,
         verify_unit_decomposition,
-        w_basis_dimension,
+        w_basis_dimensions,
         witness_product,
-        zero,
     )
-    lang = _algebra_language(args)
+    lang = SubstLanguage(_subst_levels(args))
     if args.command == "identities":
-        gens = make_generators(lang)
-        one, T, Tinv, proj = (gens["one"], gens["T"], gens["Tinv"],
-                              gens["proj"])
-        rep = {
-            "T_Tinv_is_one": convolve(T, Tinv) == one
-            and convolve(Tinv, T) == one,
-            "projections_sum_to_one": sum(proj.values(), zero(lang)) == one,
-        }
-        d = 3
-        Td = Tmd = one
-        for _ in range(d):
-            Td, Tmd = convolve(Td, T), convolve(Tmd, Tinv)
-        s = sorted(lang.alphabet)[0]
-        rep["conjugation_formula"] = (
-            convolve(convolve(Tmd, proj[s]), Td).terms
-            == {(0, d, s): Fraction(1)})
-        rng = random.Random(args.seed)
-        host = lang.levels.AB(min(3, lang.levels.K))
-
-        def rand_elem():
-            t = {}
-            for _ in range(rng.randint(1, 3)):
-                i = rng.randrange(len(host) - 3)
-                L = rng.randint(0, 2)
-                key = (rng.randint(-2, 2), rng.randint(-2, 0),
-                       host[i:i + L]) if L else (rng.randint(-2, 2), 0, "")
-                t[key] = rng.randint(-3, 3)
-            return AlgebraElement(lang, t)
-
-        assoc = True
-        for _ in range(args.trials):
-            a, b, c = rand_elem(), rand_elem(), rand_elem()
-            lhs = convolve(convolve(a, b, canonical=False), c)
-            rhs = convolve(a, convolve(b, c, canonical=False))
-            assoc = assoc and lhs.terms == rhs.terms
-        rep["associativity_random_triples"] = assoc
-        grade = True
-        for _ in range(args.trials):
-            i, j = rng.randrange(len(host) - 2), rng.randrange(len(host) - 2)
-            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
-            f = AlgebraElement(lang, {(p, 0, host[i:i + 2]): 1})
-            g = AlgebraElement(lang, {(q, 0, host[j:j + 2]): 1})
-            grade = grade and all(dd == p + q
-                                  for dd, _, _ in convolve(f, g,
-                                                           canonical=False
-                                                           ).terms)
-        rep["degree_additivity_random_pairs"] = grade
-        rep["trials"] = args.trials
-        ok = all(v for k, v in rep.items() if k != "trials")
-        emit_report(rep, args, passed=ok)
-        return True
-    if args.command == "witness-product":
-        gens = make_generators(lang)
+        rep = verify_algebra_identities(lang, args.trials, args.seed)
+    elif args.command == "witness-product":
         if args.random:
-            rng = random.Random(args.seed)
-            host = lang.levels.AB(min(3, lang.levels.K))
-            reports = []
-            for i in range(args.random):
-                terms = {}
-                while not terms:
-                    for _ in range(rng.randint(1, 4)):
-                        d = rng.randint(-3, 3)
-                        L = rng.randint(1, 3)
-                        lo = rng.randint(-3, 4 - L)
-                        j = rng.randrange(len(host) - 4)
-                        c = rng.randint(-3, 3)
-                        if c:
-                            terms[(d, lo, host[j:j + L])] = c
-                rep = witness_product(AlgebraElement(lang, terms), l=args.l)
-                reports.append(rep)
-                if not rep["pass"]:
-                    emit_report({"trial": i, "report": rep}, args,
-                                passed=False, witness=rep)
-            payload = {"trials": args.random,
-                       "all_pass": True,
-                       "sample": reports[0]}
-            emit_report(payload, args)
-            return True
-        f = gens["proj"][args.proj]
-        rep = witness_product(f, l=args.l)
-        emit_report(rep, args, passed=rep["pass"])
-        return True
-    if args.command == "decompose-identity":
+            rep = verify_random_witness_products(lang, args.random, args.seed,
+                                                 l=args.l)
+        else:
+            rep = witness_product(make_generators(lang)["proj"][args.proj],
+                                  l=args.l)
+    elif args.command == "decompose-identity":
         rep = verify_unit_decomposition(lang, args.l)
-        emit_report(rep, args, passed=rep["pass"])
-        return True
-    if args.command == "ret-bracket":
+    elif args.command == "ret-bracket":
         rep = ret_bracket_report(lang, args.n, seed=args.seed)
-        ok = rep["type_star_vanish"] and rep["upper"]["master_len_le_K_n_gamma"]
-        emit_report(rep, args, passed=ok)
-        return True
-    # dims
-    rows = []
-    for N in range(args.N + 1):
-        r = w_basis_dimension(lang, N)
-        rows.append((N, r["dim"], r.get("ratio_2N_over_N", "")))
-    emit_report({"table": rows}, args, rows=rows,
-                columns=["N", "dim_W_N", "ratio_2N_over_N"])
-    return True
+    else:                                      # dims
+        rows = [(r["N"], r["dim"], r.get("ratio_2N_over_N", ""))
+                for r in w_basis_dimensions(lang, args.N)]
+        emit_report({"table": rows}, args, rows=rows,
+                    columns=["N", "dim_W_N", "ratio_2N_over_N"])
+        return
+    emit_report(rep, args)
 
 
 # ---------------------------------------------------------------- parser

@@ -146,18 +146,26 @@ class GrowthTable:
 
     @classmethod
     def from_name(cls, name, n_max):
-        """Closed forms "id", "n^2" and "nlogn" = n max(1, floor(log2 n)),
-        with floor(log2 n) = n.bit_length() - 1 in exact integers."""
-        if name == "id":
-            return cls.from_pieces([(1, 0, 1, 0)], n_max)
-        if name == "n^2":
-            return cls.from_pieces([(1, 1, 0, 0)], n_max)
-        if name == "nlogn":
-            # n on 1..3, then k n on each block 2^k..2^(k+1)-1
-            return cls.from_pieces([(1, 0, 1, 0)] + [
-                (2 ** k, 0, k, 0) for k in range(2, max(2, n_max.bit_length()))],
-                n_max)
-        raise ValueError("unknown growth function %r" % name)
+        """One of the closed forms in _NAMED."""
+        if name not in _NAMED:
+            raise ValueError("unknown growth function %r; choose from %s"
+                             % (name, ", ".join(sorted(_NAMED))))
+        return cls.from_pieces(_NAMED[name](n_max), n_max)
+
+
+# name -> the pieces of that function on 1..N.  "nlogn" is
+# n max(1, floor(log2 n)), with floor(log2 n) = n.bit_length() - 1 in exact
+# integers: n on 1..3, then k n on each block 2^k..2^(k+1)-1.
+# "2^ceil-sqrt" is 2^(k+1) for k^2 < n <= (k+1)^2.
+_NAMED = {
+    "id": lambda N: [(1, 0, 1, 0)],
+    "n^2": lambda N: [(1, 1, 0, 0)],
+    "nlogn": lambda N: [(1, 0, 1, 0)] + [
+        (2 ** k, 0, k, 0) for k in range(2, max(2, N.bit_length()))],
+    "2^ceil-sqrt": lambda N: [(k * k + 1, 0, 0, 2 ** (k + 1))
+                              for k in range(math.isqrt(max(N, 1) - 1) + 1)],
+    "const-2": lambda N: [(1, 0, 0, 2)],
+}
 
 
 def discrete_derivative(table):
@@ -235,6 +243,20 @@ def check_growth_properties(table):
         "violating_pair": pair,
         "doubling_note": "finite diagnostic only",
     }
+
+
+def witness_properties(w):
+    """The witness's checks and the growth properties of its f.  f is
+    strictly increasing by verify_witness, so a decrease that
+    check_growth_properties finds between its pieces raises AssertionError
+    naming the first n with f(n) > f(n + 1)."""
+    props = check_growth_properties(w.f)
+    if not props["nondecreasing"]:
+        n = next(hi for _, hi in _ranges(w.f.pieces, w.f.n_max)
+                 if hi < w.f.n_max and w.f(hi) > w.f(hi + 1))
+        raise AssertionError("f(%d) > f(%d) in a strictly increasing witness"
+                             % (n, n + 1))
+    return {"witness_checks": w.checks, "f_properties": props}
 
 
 @dataclass

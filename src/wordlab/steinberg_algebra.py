@@ -359,6 +359,68 @@ def w_basis_dimension(lang, N):
     return out
 
 
+def w_basis_dimensions(lang, N_max):
+    """w_basis_dimension for N = 0..N_max."""
+    if N_max < 0:
+        raise ValueError("N must be >= 0, got %d" % N_max)
+    return [w_basis_dimension(lang, N) for N in range(N_max + 1)]
+
+
+def verify_algebra_identities(lang, trials, seed):
+    """1_T 1_T^-1 = 1_T^-1 1_T = 1, sum_s 1_s = 1 and the conjugation
+    1_T^-3 1_s 1_T^3 = 1_{{0} x {x : x[3] = s}} for the least letter s; then,
+    from one seeded generator, `trials` triples (a b) c = a (b c) and
+    `trials` products of a degree-p and a degree-q cylinder of length 2 that
+    have degree p + q only.  Elements and cylinders are cut from the
+    windows of AB_min(3,K).  A failed identity raises AssertionError naming
+    it and, for the sampled ones, the trial."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1, got %d" % trials)
+    gens = make_generators(lang)
+    one, T, Tinv, proj = gens["one"], gens["T"], gens["Tinv"], gens["proj"]
+    if convolve(T, Tinv) != one:
+        raise AssertionError("T T^-1 != 1")
+    if convolve(Tinv, T) != one:
+        raise AssertionError("T^-1 T != 1")
+    if sum(proj.values(), zero(lang)) != one:
+        raise AssertionError("the letter projections do not sum to 1")
+    d, s = 3, sorted(lang.alphabet)[0]
+    Td = Tmd = one
+    for _ in range(d):
+        Td, Tmd = convolve(Td, T), convolve(Tmd, Tinv)
+    if convolve(convolve(Tmd, proj[s]), Td).terms != {(0, d, s): 1}:
+        raise AssertionError("T^-%d 1_%s T^%d != 1_{x[%d] = %s}" % (d, s, d, d, s))
+    rng = random.Random(seed)
+    host = lang.levels.AB(min(3, lang.levels.K))
+
+    def rand_elem():
+        t = {}
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(host) - 3)
+            L = rng.randint(0, 2)
+            key = (rng.randint(-2, 2), rng.randint(-2, 0),
+                   host[i:i + L]) if L else (rng.randint(-2, 2), 0, "")
+            t[key] = rng.randint(-3, 3)
+        return AlgebraElement(lang, t)
+
+    for trial in range(trials):
+        a, b, c = rand_elem(), rand_elem(), rand_elem()
+        if convolve(convolve(a, b, canonical=False), c).terms \
+                != convolve(a, convolve(b, c, canonical=False)).terms:
+            raise AssertionError("(a b) c != a (b c) at trial %d" % trial)
+    for trial in range(trials):
+        p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+        i, j = rng.randrange(len(host) - 2), rng.randrange(len(host) - 2)
+        f = AlgebraElement(lang, {(p, 0, host[i:i + 2]): 1})
+        g = AlgebraElement(lang, {(q, 0, host[j:j + 2]): 1})
+        if any(e != p + q for e in convolve(f, g, canonical=False).degrees()):
+            raise AssertionError("a degree-%d by degree-%d product has another "
+                                 "degree at trial %d" % (p, q, trial))
+    return {"T_Tinv_is_one": True, "projections_sum_to_one": True,
+            "conjugation_formula": True, "associativity_random_triples": True,
+            "degree_additivity_random_pairs": True, "trials": trials}
+
+
 # ---------------------------------------------------------------------------
 # the two constructive proofs
 
@@ -433,16 +495,10 @@ def witness_product(f, l=None):
         for i, ch in enumerate(pat):
             if AB[lo + i - w_lo] != ch:
                 raise AssertionError("condition (i) fails")
-    cond2 = True
     for (d, lo, pat) in f.terms:
-        if (d, lo, pat) in A:
-            continue
-        if d != k:
-            continue
-        clash = any(AB[lo + i - w_lo] != ch for i, ch in enumerate(pat))
-        cond2 = cond2 and clash
-    if not cond2:
-        raise AssertionError("condition (ii) fails")
+        if d == k and (d, lo, pat) not in A \
+                and all(AB[lo + i - w_lo] == ch for i, ch in enumerate(pat)):
+            raise AssertionError("condition (ii) fails")
     # (iii) W cap T^d(W) = empty for 0 < |d| <= 2n via aperiodicity
     if n >= 1 and min_period(AB, 2 * n) is not None:
         raise AssertionError("condition (iii) fails")
@@ -460,6 +516,37 @@ def witness_product(f, l=None):
             "W_in_filtration": 2 * levels.N[l + 1],
             "left_in_filtration": 2 * levels.N[l + 1] + n,
             "pass": bool(ok)}
+
+
+def random_w3_elements(lang, count, seed):
+    """count seeded nonzero elements of W_3: each has 1 to 4 terms of degree
+    in [-3, 3], with a pattern of 1 to 3 letters cut from AB_min(3,K) on a
+    window inside [-3, 3], and a coefficient in [-3, 3]."""
+    if count < 1:
+        raise ValueError("count must be >= 1, got %d" % count)
+    rng = random.Random(seed)
+    host = lang.levels.AB(min(3, lang.levels.K))
+    out = []
+    for _ in range(count):
+        terms = {}
+        while not terms:
+            for _ in range(rng.randint(1, 4)):
+                d = rng.randint(-3, 3)
+                L = rng.randint(1, 3)
+                lo = rng.randint(-3, 4 - L)
+                j = rng.randrange(len(host) - 4)
+                c = rng.randint(-3, 3)
+                if c:
+                    terms[(d, lo, host[j:j + L])] = c
+        out.append(AlgebraElement(lang, terms))
+    return out
+
+
+def verify_random_witness_products(lang, count, seed, l=None):
+    """witness_product, which raises on a failed condition, for each of
+    random_w3_elements(lang, count, seed); the first report is the sample."""
+    reports = [witness_product(f, l=l) for f in random_w3_elements(lang, count, seed)]
+    return {"trials": count, "all_pass": True, "sample": reports[0]}
 
 
 def verify_unit_decomposition(lang, l):
@@ -555,7 +642,8 @@ def ret_bracket_report(lang, n, seed=0):
              on v;
       upper: the constructive machinery's degree budget 8 (c+3) ceil(K n^gamma)
              with c measured by the unit-decomposition audit and K from the
-             master-length estimate."""
+             master-length estimate 2 N_{l+1} <= ceil(K n^gamma).
+    A failed check raises AssertionError."""
     if not isinstance(lang, SubstLanguage):
         raise ValueError("ret_bracket_report needs the substitution language")
     levels = lang.levels
@@ -582,7 +670,6 @@ def ret_bracket_report(lang, n, seed=0):
         # at (0, x) for any x extending the sample v on [-s, s+n-1]
         a = AlgebraElement(lang, {(0, 0, u): 1})
         rng = random.Random(seed)
-        vanish = True
         for _ in range(8):
             d1, d2 = rng.randint(-s, s), rng.randint(-s, s)
             i = rng.randrange(len(host) - (2 * s + 1))
@@ -591,20 +678,23 @@ def ret_bracket_report(lang, n, seed=0):
             z2 = AlgebraElement(lang, {(d2, -s, host[i:i + 2 * s + 1]): 1})
             prod = convolve(convolve(z, a, canonical=False), z2,
                             canonical=False)
-            vanish = vanish and all(
-                vanishes_on_sample(prod, d, -s, v) for d in prod.degrees())
+            if not all(vanishes_on_sample(prod, d, -s, v) for d in prod.degrees()):
+                raise AssertionError("a sampled type-(*) product does not vanish on v")
         report["witness_u"] = u
         report["witness_v_len"] = len(v)
-        report["type_star_vanish"] = bool(vanish)
-        if not vanish:
-            raise AssertionError("a sampled type-(*) product does not vanish on v")
+        report["type_star_vanish"] = True
     K = _ceil_K(gamma, n)
     l = levels.min_level_for(2 * n + 1) - 1
+    Kn = _ceil_power(K, n, gamma)
+    if 2 * levels.N[l + 1] > Kn:
+        raise AssertionError("master length 2 N_%d = %d exceeds ceil(K n^gamma) "
+                             "= %d at n = %d, K = %d"
+                             % (l + 1, 2 * levels.N[l + 1], Kn, n, K))
     c = 12                                    # proof constant; audit measures
     report["upper"] = {
         "gamma": str(Fraction(gamma)), "l": l, "K": K,
         "master_len_2N": 2 * levels.N[l + 1],
-        "master_len_le_K_n_gamma": 2 * levels.N[l + 1] <= _ceil_power(K, n, gamma),
-        "degree_budget_8_c3_Kn": 8 * (c + 3) * _ceil_power(K, n, gamma),
+        "master_len_le_K_n_gamma": True,
+        "degree_budget_8_c3_Kn": 8 * (c + 3) * Kn,
     }
     return report

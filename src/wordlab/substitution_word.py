@@ -341,9 +341,28 @@ def recurrence_function(levels, n):
             "upper_bound_7Nk": upper, "certificate": certificate}
 
 
+def complexity_rows(levels, lo, hi):
+    """(n, p(n), p(n) - p(n-1), bounds_ok) for n = lo..hi, with "" for the
+    difference at lo.  The bounds are n + 1 <= p(n), and p(n) <= 14n from
+    n = Ntilde_1 on; the first n that breaks one raises AssertionError."""
+    if not 1 <= lo <= hi:
+        raise ValueError("complexity range must have 1 <= lo <= hi, got %d..%d"
+                         % (lo, hi))
+    rows, prev = [], None
+    for n in range(lo, hi + 1):
+        p = levels.complexity(n)
+        ok = p >= n + 1 and (n < levels.Nt[1] or p <= 14 * n)
+        if not ok:
+            raise AssertionError("p(%d) = %d breaks n+1 <= p(n) <= 14n" % (n, p))
+        rows.append((n, p, "" if prev is None else p - prev, ok))
+        prev = p
+    return rows
+
+
 def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
     """Consolidated checks: the every-7N_k containment, aperiodicity,
-    p(n) vs 14n, and recurrence bound/exponent diagnostics."""
+    p(n) vs 14n, recurrence bound/exponent diagnostics, and the beta_k^3
+    positions for k <= min(k_max, K - 1)."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0, got %d" % k_max)
     report = {"gamma": str(levels.params.gamma) if levels.params.gamma is not None else None}
@@ -372,17 +391,7 @@ def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
 
     if p_max is None:
         p_max = min(levels.Nt[min(k_max + 1, levels.K)], 2000)
-    p_ok = True
-    p_table = {}
-    for n in range(1, p_max + 1):
-        p = levels.complexity(n)
-        p_table[n] = p
-        if not (p >= n + 1):
-            p_ok = False
-        if n >= levels.Nt[1] and not (p <= 14 * n):
-            p_ok = False
-    if not p_ok:
-        raise AssertionError("complexity bounds n+1 <= p(n) <= 14n violated")
+    complexity_rows(levels, 1, p_max)
     report["p_bounds_ok"] = True
     report["p_max_checked"] = p_max
 
@@ -401,4 +410,6 @@ def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
                 entry["exponent_note"] = "uninformative at gamma=1"
         recs[n] = entry
     report["recurrence_samples"] = recs
+    report["beta_cubed"] = {k: beta_cubed_positions(levels, k)
+                            for k in range(min(k_max, levels.K - 1) + 1)}
     return report

@@ -226,7 +226,8 @@ class XkOracle:
 def xk_complexity_table(oracle, n_lo, n_hi):
     """Exact p_w(n) for n in [n_lo, n_hi], derivative, and the growth bound
     p_w(n) <= 4 * 3^(alpha 2^r + 1) * n^(alpha 2^r + 1) certified via the
-    rational lower bound alpha >= 29/23 (3^29 < 4^23)."""
+    rational lower bound alpha >= 29/23 (3^29 < 4^23); the first n where the
+    bound fails raises AssertionError."""
     if not (1 <= n_lo <= n_hi):
         raise ValueError("bad range")
     census = oracle.census(n_hi)
@@ -241,6 +242,9 @@ def xk_complexity_table(oracle, n_lo, n_hi):
         # enough that p^q_lo <= (12 * 4^{2^r} * n)^q_lo * n^{p_lo 2^r}
         rhs = (12 * 4**twor * n) ** q_lo * n ** (p_lo * twor)
         bound_ok[n] = p[n] ** q_lo <= rhs
+        if not bound_ok[n]:
+            raise AssertionError("p(%d) = %d exceeds 4 * 3^(alpha 2^r + 1) "
+                                 "n^(alpha 2^r + 1)" % (n, p[n]))
     return {"p": p, "p_prime": dp, "bound_alpha_2r_ok": bound_ok}
 
 

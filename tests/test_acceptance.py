@@ -6,7 +6,6 @@ import functools
 import hashlib
 import json
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -18,18 +17,17 @@ from wordlab.ergodic_subshift import (
 )
 from wordlab.growth_functions import GrowthTable, build_superlinear_witness
 from wordlab.steinberg_algebra import (
-    AlgebraElement,
     SubstLanguage,
-    convolve,
-    make_generators,
+    random_w3_elements,
+    verify_algebra_identities,
     verify_unit_decomposition,
     witness_product,
-    zero,
 )
 from wordlab.substitution_word import (
     SubstParams,
     beta_cubed_positions,
     build_substitution_levels,
+    complexity_rows,
     densities,
     recurrence_function,
 )
@@ -84,8 +82,9 @@ def test_criterion_01_densities(subst):
 
 @report(2, "linear complexity n+1 <= p(n) <= 14n on [3, 1188]")
 def test_criterion_02_linear_complexity(subst):
-    for n in range(1, 1189):
-        p = subst.complexity(n)
+    rows = complexity_rows(subst, 1, 1188)       # raises on a failure
+    assert [n for n, _, _, _ in rows] == list(range(1, 1189))
+    for n, p, _, _ in rows:
         assert p >= n + 1
         if n >= subst.Nt[1]:
             assert p <= 14 * n
@@ -189,38 +188,9 @@ def test_criterion_09_ergodic():
 
 @report(10, "algebra identities and 10^3 random grading/associativity")
 def test_criterion_10_algebra_identities(lang):
-    gens = make_generators(lang)
-    one, T, Tinv, proj = gens["one"], gens["T"], gens["Tinv"], gens["proj"]
-    assert convolve(T, Tinv) == one and convolve(Tinv, T) == one
-    assert sum(proj.values(), zero(lang)) == one
-    T3 = convolve(convolve(T, T), T)
-    Tm3 = convolve(convolve(Tinv, Tinv), Tinv)
-    assert convolve(convolve(Tm3, proj["a"]), T3).terms \
-        == {(0, 3, "a"): Fraction(1)}
-    rng = random.Random(2024)
-    host = lang.levels.AB(3)
-
-    def rand_elem():
-        t = {}
-        for _ in range(rng.randint(1, 3)):
-            i = rng.randrange(len(host) - 3)
-            L = rng.randint(0, 2)
-            key = (rng.randint(-2, 2), rng.randint(-2, 0),
-                   host[i:i + L]) if L else (rng.randint(-2, 2), 0, "")
-            t[key] = rng.randint(-3, 3)
-        return AlgebraElement(lang, t)
-
-    for _ in range(1000):
-        a, b, c = rand_elem(), rand_elem(), rand_elem()
-        assert convolve(convolve(a, b, canonical=False), c).terms \
-            == convolve(a, convolve(b, c, canonical=False)).terms
-    for _ in range(1000):
-        p, q = rng.randint(-3, 3), rng.randint(-3, 3)
-        i, j = rng.randrange(len(host) - 2), rng.randrange(len(host) - 2)
-        fe = AlgebraElement(lang, {(p, 0, host[i:i + 2]): 1})
-        ge = AlgebraElement(lang, {(q, 0, host[j:j + 2]): 1})
-        assert all(d == p + q
-                   for d, _, _ in convolve(fe, ge, canonical=False).terms)
+    rep = verify_algebra_identities(lang, 1000, 2024)   # raises on a failure
+    assert rep["trials"] == 1000
+    assert all(v for k, v in rep.items() if k != "trials")
 
 
 @report(11, "identity decomposition at l=0 and l=1 with filtration audit")
@@ -235,18 +205,9 @@ def test_criterion_11_unit_decomposition(lang):
 
 @report(12, "witness product for 20 random nonzero f in W_3")
 def test_criterion_12_witness_products(lang):
-    rng = random.Random(77)
-    host = lang.levels.AB(3)
-    for _ in range(20):
-        terms = {}
-        while not terms:
-            for _ in range(rng.randint(1, 4)):
-                d = rng.randint(-3, 3)
-                L = rng.randint(1, 3)
-                lo = rng.randint(-3, 4 - L)
-                j = rng.randrange(len(host) - 4)
-                c = rng.randint(-3, 3)
-                if c:
-                    terms[(d, lo, host[j:j + L])] = c
-        rep = witness_product(AlgebraElement(lang, terms))
+    elements = random_w3_elements(lang, 20, 77)
+    assert len(elements) == 20
+    for f in elements:
+        assert not f.is_zero() and f.window_radius() <= 3
+        rep = witness_product(f)
         assert rep["pass"], rep

@@ -155,11 +155,15 @@ def test_max_bytes_floor(capsys):
     ("algebra", "witness-product", "--l", "10"),
     ("algebra", "decompose-identity", "--l", "-1"),
     ("subst", "--levels", "0", "build"),
-], ids=["proj-c", "witness-l10", "decompose-l-1", "levels-0"])
+    ("algebra", "witness-product", "--random", "-1"),
+    ("algebra", "identities", "--trials", "-5"),
+    ("algebra", "dims", "--N", "-1"),
+], ids=["proj-c", "witness-l10", "decompose-l-1", "levels-0", "random-1",
+        "trials-5", "dims-N-1"])
 def test_bad_algebra_and_subst_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -167,10 +171,12 @@ def test_bad_algebra_and_subst_arguments_exit_2(capsys, argv):
      "error: depth: n_list gives 2 levels, 5 asked"),
     (("subst", "--gamma", "2", "verify", "--k-max", "-1"),
      "error: k_max must be >= 0, got -1"),
-], ids=["n-list-short-of-levels", "k-max-1"])
+    (("subst", "--gamma", "2", "verify", "--p-max", "0"),
+     "error: complexity range must have 1 <= lo <= hi, got 1..0"),
+], ids=["n-list-short-of-levels", "k-max-1", "p-max-0"])
 def test_subst_refuses_what_it_cannot_check(capsys, argv, message):
     # an n_list shorter than --levels used to build K = 2; a negative k_max
-    # used to pass having checked nothing
+    # or a p_max below 1 used to pass having checked nothing
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.splitlines() == [message]
@@ -344,6 +350,104 @@ def test_failed_checks_exit_1_in_densities_and_structure(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert json.loads(err)["witness"] == {
         "failed_assertion": "level 2 word with 0 at the boundary"}
+
+def test_moved_verdicts_exit_1_in_identities_and_complexity(capsys, monkeypatch):
+    import wordlab.steinberg_algebra as sa
+    import wordlab.substitution_word as sw
+
+    real_gens = sa.make_generators
+
+    def no_inverse(lang, char=None):
+        gens = real_gens(lang, char)
+        return dict(gens, Tinv=gens["T"])
+
+    monkeypatch.setattr(sa, "make_generators", no_inverse)
+    code, out, err = run(capsys, "algebra", "identities", "--trials", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["witness"] == {"failed_assertion": "T T^-1 != 1"}
+
+    monkeypatch.setattr(sw.SubstLevels, "complexity", lambda self, n: n)
+    code, out, err = run(capsys, "subst", "--gamma", "2", "complexity",
+                         "--n", "3..9")
+    assert code == 1 and out == ""
+    assert json.loads(err)["witness"] == {
+        "failed_assertion": "p(3) = 3 breaks n+1 <= p(n) <= 14n"}
+
+
+def test_ret_bracket_master_length_check_exits_1(capsys):
+    # at gamma = 1 the level-2 masters are longer than ceil(K n^gamma)
+    code, out, err = run(capsys, "algebra", "--gamma", "1", "ret-bracket",
+                         "--n", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["witness"]["failed_assertion"].startswith(
+        "master length 2 N_2 = 72 exceeds ceil(K n^gamma) = 40")
+
+
+# the flags that take a string, drawn from small values that mean something
+_STRING_FLAGS = {
+    "g": ("n^2", "nlogn", "id", "2^ceil-sqrt", "const-2"),
+    "f": ("2^ceil-sqrt", "const-2", "n^2"),
+    "n": ("-1", "0", "1", "2", "3", "1..3"),
+    "u": ("a", "b", "ab"),
+    "word": ("a", "ab", "zz"),
+    "rec_samples": ("", "1", "2,3"),
+}
+
+
+def _argv_strategy():
+    """One command line for each subcommand of build_parser(): every integer
+    flag and every flag in _STRING_FLAGS given, integers in -1..3, a value
+    of every choice, and one time in eight a 1 MiB budget."""
+    from hypothesis import strategies as st
+
+    from wordlab.cli import _subcommands, build_parser
+
+    def flags(parser):
+        parts = []
+        for a in parser._actions:
+            if a.choices is not None and a.option_strings:
+                values = st.sampled_from(sorted(a.choices))
+            elif a.type is int and a.dest != "max_bytes":
+                values = st.integers(-1, 3)
+            elif a.dest in _STRING_FLAGS:
+                values = st.sampled_from(_STRING_FLAGS[a.dest])
+            else:
+                continue
+            parts.append(values.map(lambda v, o=a.option_strings[0]: "%s=%s" % (o, v)))
+        return st.tuples(*parts)
+
+    budget = st.integers(0, 7).map(lambda i: ("--max-bytes=1048576",) if i == 0 else ())
+    return st.tuples(*(
+        st.tuples(st.just((name,)), flags(fam), st.just((cmd,)), flags(sub), budget)
+        .map(lambda t: [x for part in t for x in part])
+        for name, fam in _subcommands(build_parser()).items()
+        for cmd, sub in _subcommands(fam).items()))
+
+
+def test_cli_contract_on_drawn_command_lines():
+    # every command line ends in exit 0, 1 or 2, never in a traceback: 2
+    # with one error line, 1 with the JSON witness on stderr
+    import contextlib
+    import io
+
+    from hypothesis import given, settings
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(_argv_strategy())
+    def check(argvs):
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = parse_and_dispatch(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+                assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+            elif code == 1:
+                assert "witness" in json.loads(err.getvalue()), argv
+
+    check()
+
 
 # sha256 of stdout recorded before substitution-language queries moved to
 # the junction windows, before the ergodic intervals moved to the level

@@ -17,6 +17,7 @@ from wordlab.growth_functions import (
     check_growth_properties,
     discrete_derivative,
     verify_witness,
+    witness_properties,
 )
 
 N = 20_000
@@ -248,6 +249,17 @@ def test_growth_properties_match_pair_oracle_on_witness(n_max):
     assert _agrees_with_oracle(GrowthTable(w.f.values, n_max)) == rep
 
 
+def test_witness_properties_cross_check_monotonicity():
+    w = build_superlinear_witness(GrowthTable.from_name("n^2", 2048))
+    rep = witness_properties(w)
+    assert rep["witness_checks"] is w.checks
+    assert rep["f_properties"]["nondecreasing"] is True
+    # a witness whose f drops after n = 3, as no verified witness does
+    dropped = replace(w, segments=[(1, 1, 0), (4, -2, 0)])
+    with pytest.raises(AssertionError, match=r"^f\(3\) > f\(4\) "):
+        witness_properties(dropped)
+
+
 def test_growth_properties_need_rising_lines():
     with pytest.raises(ValueError, match="b >= 0"):
         check_growth_properties(GrowthTable.from_name("n^2", 10))
@@ -283,6 +295,18 @@ def test_table_from_pieces_matches_rule():
             t = GrowthTable.from_name(name, n_max)
             assert t.values == GrowthTable.from_function(rule, n_max).values
             assert [t(n) for n in range(1, n_max + 1)] == t.values[1:]
+
+
+def test_ergodic_names_match_criterion_09_table():
+    # `ergodic --f 2^ceil-sqrt` and criterion 09 read the same table
+    two_to_ceil_sqrt = GrowthTable.from_function(
+        lambda n: 2 ** (math.isqrt(n) + (0 if math.isqrt(n)**2 == n else 1)),
+        1024)
+    assert GrowthTable.from_name("2^ceil-sqrt", 1024).values \
+        == two_to_ceil_sqrt.values
+    assert GrowthTable.from_name("const-2", 5).values == [0, 2, 2, 2, 2, 2]
+    with pytest.raises(ValueError, match="choose from 2\\^ceil-sqrt, const-2"):
+        GrowthTable.from_name("2^n", 8)
 
 
 def test_nlogn_exact_at_2_pow_60():

@@ -18,6 +18,18 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_cli_draws_and_tabulates_nothing():
+    # seeded draws and growth-function tables live in the library: cli.py
+    # imports neither random nor math
+    src = pathlib.Path(wordlab.__file__).parent / "cli.py"
+    imported = {alias.name.split(".")[0]
+                for node in ast.walk(ast.parse(src.read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in (node.names if isinstance(node, ast.Import)
+                              else [ast.alias(node.module or "")])}
+    assert "json" in imported
+    assert imported.isdisjoint({"random", "math"})
+
 
 # public names that no src code uses, each with the reason it stays
 USED_OUTSIDE_SRC = {

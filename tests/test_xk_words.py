@@ -107,6 +107,17 @@ def test_complexity_lower_upper(oracle):
     assert all(tab["p_prime"][n] >= 1 for n in range(2, 41))
 
 
+def test_complexity_table_raises_at_first_failing_n(oracle, monkeypatch):
+    # p(n) = 10^12 n breaks the growth bound from n = 1 on
+    class Inflated:
+        def count(self, n):
+            return 10**12 * n
+
+    monkeypatch.setattr(oracle, "census", lambda cap: Inflated())
+    with pytest.raises(AssertionError, match=r"^p\(2\) = 2000000000000 exceeds"):
+        xk_complexity_table(oracle, 2, 5)
+
+
 def test_complexity_submultiplicative(oracle):
     for m in (1, 2, 3, 5, 9):
         for n in (1, 2, 3, 5, 9):
