@@ -351,6 +351,7 @@ def test_failed_checks_exit_1_in_densities_and_structure(capsys, monkeypatch):
     assert json.loads(err)["witness"] == {
         "failed_assertion": "level 2 word with 0 at the boundary"}
 
+
 def test_moved_verdicts_exit_1_in_identities_and_complexity(capsys, monkeypatch):
     import wordlab.steinberg_algebra as sa
     import wordlab.substitution_word as sw
