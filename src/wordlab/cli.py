@@ -75,6 +75,15 @@ def parse_range(text):
     return lo, hi
 
 
+def parse_int_list(text, flag):
+    """The integers of a comma-separated flag value."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError("--%s takes comma-separated integers, got %r"
+                         % (flag, text)) from None
+
+
 def load_config(path):
     """Plain-text key=value defaults; flags override."""
     out = {}
@@ -238,7 +247,7 @@ def run_ergodic(args):
 def _subst_levels(args):
     from .substitution_word import SubstParams, build_substitution_levels
     if args.n_list:
-        params = SubstParams(n_list=[int(x) for x in args.n_list.split(",")],
+        params = SubstParams(n_list=parse_int_list(args.n_list, "n-list"),
                              max_bytes=args.max_bytes)
     else:
         params = SubstParams(gamma=Fraction(args.gamma),
@@ -275,13 +284,13 @@ def run_subst(args):
                              "phi_a_beta", "phi_b_beta"])
     elif args.command == "recurrence":
         rows = []
-        for n in [int(x) for x in args.n.split(",")]:
+        for n in parse_int_list(args.n, "n"):
             r = recurrence_function(levels, n)
             rows.append((n, r["rec"], r["upper_bound_7Nk"]))
         emit_report({"table": rows}, args, rows=rows,
                     columns=["n", "rec", "upper_7Nk"])
     else:                                      # verify
-        rec_samples = [int(x) for x in args.rec_samples.split(",")] \
+        rec_samples = parse_int_list(args.rec_samples, "rec-samples") \
             if args.rec_samples else []
         emit_report(verify_substitution_lemmas(levels, args.k_max,
                                                rec_samples=rec_samples,

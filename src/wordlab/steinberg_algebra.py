@@ -16,6 +16,7 @@
 # complexity), so the same algebra works over any of the words built here.
 
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -42,21 +43,44 @@ class SubstLanguage:
         return self.levels.complexity(n)
 
 
+# per language: the _completions table, keyed (letters added on the left,
+# pat, letters added on the right), since completions are shift-invariant,
+# and the number of language extensions of a word on the right and on the
+# left.
+# Kept beside the language object and dropped with it, so that the oracle
+# protocol stays alphabet, contains and complexity.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def _memo(lang):
+    memo = _MEMO.get(lang)
+    if memo is None:
+        memo = _MEMO[lang] = ({}, {}, {})
+    return memo
+
+
 def _completions(lang, lo, hi, l, pat):
     """All language words on [lo, hi] carrying pat at l, in lexicographic
-    order: pat grows leftward to lo, then rightward to hi, letter by letter,
-    and every step keeps only the language words.  A pat that already spans
-    [lo, hi] is returned as it is: callers pass only language words there."""
-    if l == lo and len(pat) == hi - lo + 1:
-        return [pat]
-    out = [pat]
-    for _ in range(l - lo):
-        out = [ch + v for v in out for ch in lang.alphabet
-               if lang.contains(ch + v)]
-    for _ in range(hi - l - len(pat) + 1):
-        out = [v + ch for v in out for ch in lang.alphabet
-               if lang.contains(v + ch)]
-    return sorted(out)
+    order, as a tuple: pat grows leftward to lo, then rightward to hi, letter
+    by letter, and every step keeps only the language words.  A pat that
+    already spans [lo, hi] is returned as it is: callers pass only language
+    words there."""
+    left, right = l - lo, hi - l - len(pat) + 1
+    if not (left or right):
+        return (pat,)
+    table = _memo(lang)[0]
+    key = (left, pat, right)
+    out = table.get(key)
+    if out is None:
+        words = [pat]
+        for _ in range(left):
+            words = [ch + v for v in words for ch in lang.alphabet
+                     if lang.contains(ch + v)]
+        for _ in range(right):
+            words = [v + ch for v in words for ch in lang.alphabet
+                     if lang.contains(v + ch)]
+        out = table[key] = tuple(sorted(words))
+    return out
 
 
 class AlgebraElement:
@@ -272,58 +296,42 @@ def _normal_form(f):
             return AlgebraElement(lang, {(d, 0, ""): c for d, c in coeff.items()},
                                   char)
 
-    def try_trim(side):
+    # a trim drops the last (right) or first (left) letter of every term.
+    # It holds when the terms over each stem (d, stem) carry one coefficient
+    # and are all the stem's language extensions on that side.  Every term
+    # is a language word: the terms were filtered and expanded through
+    # lang.contains, and trimming keeps factors of them, which the factorial
+    # language holds too.  So no stem has more terms than extensions, and
+    # the stems are complete iff their extensions number len(terms)
+    _, ext_right, ext_left = _memo(lang)
+
+    def try_trim(right):
         nonlocal terms, lo, hi
-        if not terms or hi < lo:
-            return False
-        right = side == "right"
-        groups = {}
-        for (d, l, v), c in terms.items():
-            stem, ch = (v[:-1], v[-1]) if right else (v[1:], v[0])
-            groups.setdefault((d, stem), {})[ch] = c
-        for by_letter in groups.values():
-            coeffs = iter(by_letter.values())
-            first = next(coeffs)
-            if any(c != first for c in coeffs):
-                return False
-        # every term is a language word: the terms were filtered and expanded
-        # through lang.contains, and trimming keeps factors of them, which the
-        # factorial language holds too.  So when a degree's stems number
-        # p(m), they are all of L(m), and their extensions on this side are
-        # the p(m+1) words of L(m+1), each over exactly one stem.  The terms
-        # of that degree are some of those words, so its groups are complete
-        # iff its terms number p(m+1).  In the other degrees the letters
-        # present in a group extend its stem, and only the absent ones need
-        # a query.
-        m = hi - lo
-        p_m = lang.complexity(m)
-        counted = {d for d, k in Counter(d for d, _ in groups).items()
-                   if k == p_m}
-        if counted:
-            words = Counter(d for d, _, _ in terms)
-            p_next = lang.complexity(m + 1)
-            if any(words[d] != p_next for d in counted):
-                return False
-        for (d, stem), by_letter in groups.items():
-            if d in counted:
-                continue
-            for ch in lang.alphabet:
-                if ch not in by_letter and lang.contains(
-                        stem + ch if right else ch + stem):
-                    return False
         new_lo = lo if right else lo + 1
+        at = new_lo if hi > lo else 0          # a trim to "" keys (d, 0, "")
         out = {}
-        for (d, stem), by_letter in groups.items():
-            key = (d, 0, "") if stem == "" else (d, new_lo, stem)
-            out[key] = next(iter(by_letter.values()))
+        for (d, _, v), c in terms.items():
+            if out.setdefault((d, at, v[:-1] if right else v[1:]), c) != c:
+                return False
+        n_ext = ext_right if right else ext_left
+        total = 0
+        for _, _, stem in out:
+            k = n_ext.get(stem)
+            if k is None:
+                k = n_ext[stem] = sum(
+                    1 for ch in lang.alphabet
+                    if lang.contains(stem + ch if right else ch + stem))
+            total += k
+        if total != len(terms):
+            return False
         terms = out
         lo = new_lo
         hi = hi - 1 if right else hi
         return True
 
     progress = True
-    while progress and any(k[2] for k in terms):
-        progress = try_trim("right") or try_trim("left")
+    while progress and lo <= hi:
+        progress = try_trim(True) or try_trim(False)
     return AlgebraElement(lang, terms, char)
 
 

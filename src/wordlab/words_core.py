@@ -209,7 +209,8 @@ def sliding_containment_scan(host, K, patterns):
 # the positions by rank_k(i+s), and the host (1 + 8 + 4 + 4 + 1 = 18); the
 # lcp pass (the flags, the packed codes, int32 sa and lcp, the host) holds
 # as much.  The chunked temporaries take under 80 bytes a chunk entry: under
-# 2 bytes a host position, or 80 KiB at the least chunk
+# 2 bytes a host position, or 80 KiB at the least chunk; the lcp pass's runs
+# of chunks hold at most a chunk's length of rank changes
 _CENSUS_BYTES_PER_CHAR = 20
 _CENSUS_SLACK = 2**17
 
@@ -239,8 +240,12 @@ def _spans(L, start=0):
     """The (lo, hi) chunks of range(start, L), a 64th of L but at least 1024
     long: arrays of a host position are read a chunk at a time, so the
     temporaries stay small beside them."""
-    step = max(L >> 6, 1024)
+    step = _span_len(L)
     return [(lo, min(lo + step, L)) for lo in range(start, L, step)]
+
+
+def _span_len(L):
+    return max(L >> 6, 1024)
 
 
 class WindowCensus:
@@ -398,16 +403,19 @@ class WindowCensus:
         del key
 
         # capped lcp of the sorted neighbours of different rank (equal rank
-        # means lcp = cap), a chunk at a time: step through both windows m
-        # letters at a time while the codes agree, then read the common
-        # leading letters (fewer than m) off the first differing codes, where
-        # letter t sits in bits [b(m-1-t), b(m-t)); the end code 0 stops a
-        # window at the host end
+        # means lcp = cap): step through both windows m letters at a time
+        # while the codes agree, then read the common leading letters (fewer
+        # than m) off the first differing codes, where letter t sits in bits
+        # [b(m-1-t), b(m-t)); the end code 0 stops a window at the host end.
+        # Runs of chunks are taken together while their rank changes number
+        # at most a chunk's length, so a host whose rank changes are sparse
+        # pays the up to cap / m steps once a run, not once a chunk
         packed = _pack_windows(arr, lut, m, bits, L + cap)
         pow2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
         lcp = np.full(L, cap, dtype=np.int32)
         lcp[0] = 0
-        for lo, hi in _spans(L, 1):
+
+        def gather(lo, hi):
             t = np.flatnonzero(fresh[lo:hi]) + lo
             x, y = sa[t], sa[t - 1]
             h = 0
@@ -418,6 +426,15 @@ class WindowCensus:
                 lcp[t[hit]] = np.minimum(h + m - 1 - msb // bits, cap)
                 t, x, y = t[~hit], x[~hit], y[~hit]
                 h += m
+
+        step, start, full = _span_len(L), 1, 0
+        for lo, hi in _spans(L, 1):
+            k = np.count_nonzero(fresh[lo:hi])
+            if full + k > step:
+                gather(start, lo)
+                start, full = lo, 0
+            full += k
+        gather(start, L)
         del packed, fresh
 
         vlen = np.empty(L, dtype=np.int32)

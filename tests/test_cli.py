@@ -173,10 +173,18 @@ def test_bad_algebra_and_subst_arguments_exit_2(capsys, argv):
      "error: k_max must be >= 0, got -1"),
     (("subst", "--gamma", "2", "verify", "--p-max", "0"),
      "error: complexity range must have 1 <= lo <= hi, got 1..0"),
-], ids=["n-list-short-of-levels", "k-max-1", "p-max-0"])
+    (("subst", "--gamma", "2", "recurrence", "--n", "1..3"),
+     "error: --n takes comma-separated integers, got '1..3'"),
+    (("subst", "--gamma", "2", "verify", "--rec-samples", "18,x"),
+     "error: --rec-samples takes comma-separated integers, got '18,x'"),
+    (("subst", "--n-list", "2;2", "build"),
+     "error: --n-list takes comma-separated integers, got '2;2'"),
+], ids=["n-list-short-of-levels", "k-max-1", "p-max-0", "n-range",
+        "rec-samples-letter", "n-list-semicolon"])
 def test_subst_refuses_what_it_cannot_check(capsys, argv, message):
     # an n_list shorter than --levels used to build K = 2; a negative k_max
-    # or a p_max below 1 used to pass having checked nothing
+    # or a p_max below 1 used to pass having checked nothing; a comma list
+    # given as a range ended in "invalid literal for int()"
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.splitlines() == [message]

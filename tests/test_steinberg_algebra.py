@@ -9,6 +9,7 @@ import pytest
 from wordlab.steinberg_algebra import (
     AlgebraElement,
     SubstLanguage,
+    _completions,
     canonicalize,
     convolve,
     make_generators,
@@ -41,31 +42,6 @@ class XkLanguage:
         return self.oracle.complexity(n)
 
 
-class QueryOnlyLanguage:
-    """A language whose complexity matches no count, so that canonicalize
-    decides every trim by membership queries: the oracle for the trims that
-    p(n) counts decide.  Counts its queries."""
-
-    def __init__(self, lang):
-        self.lang = lang
-        self.alphabet = lang.alphabet
-        self.calls = 0
-
-    def contains(self, u):
-        self.calls += 1
-        return self.lang.contains(u)
-
-    def complexity(self, n):
-        return -1
-
-
-class CountedLanguage(QueryOnlyLanguage):
-    """The same wrapper with the language's own complexity."""
-
-    def complexity(self, n):
-        return self.lang.complexity(n)
-
-
 class CountingLanguage(SubstLanguage):
     """SubstLanguage that counts its membership queries."""
 
@@ -78,15 +54,90 @@ class CountingLanguage(SubstLanguage):
         return super().contains(u)
 
 
-def trims_match_queries(lang, elements):
-    """Assert that canonicalize gives equal terms with count-decided and
-    with query-decided trims; return the queries each made."""
-    counted, queried = CountedLanguage(lang), QueryOnlyLanguage(lang)
+# dual route for canonicalize: the greedy trims as first written, each
+# decided by one membership query per letter that a stem group lacks, over
+# completions recomputed on every call
+
+def _reference_completions(lang, lo, hi, l, pat):
+    out = [pat]
+    for _ in range(l - lo):
+        out = [ch + v for v in out for ch in lang.alphabet
+               if lang.contains(ch + v)]
+    for _ in range(hi - l - len(pat) + 1):
+        out = [v + ch for v in out for ch in lang.alphabet
+               if lang.contains(v + ch)]
+    return sorted(out)
+
+
+def _reference_normal_form(f):
+    """canonicalize(f) by the language filter, the expansion to the common
+    window and the greedy, query-decided trims, right before left."""
+    lang, char = f.lang, f.char
+    terms = {}
+    for (d, lo, pat), c in f.terms.items():
+        if pat and not lang.contains(pat):
+            continue
+        key = (d, 0, "") if not pat else (d, lo, pat)
+        s = f._c(terms.get(key, 0) + c)
+        if s:
+            terms[key] = s
+        else:
+            terms.pop(key, None)
+    pats = [k for k in terms if k[2]]
+    if not pats:
+        return AlgebraElement(lang, terms, char)
+    lo = min(k[1] for k in pats)
+    hi = max(k[1] + len(k[2]) - 1 for k in pats)
+    expanded = {}
+    for (d, l, pat), c in terms.items():
+        for v in _reference_completions(lang, lo, hi, l if pat else lo, pat):
+            key = (d, lo, v)
+            s = f._c(expanded.get(key, 0) + c)
+            if s:
+                expanded[key] = s
+            else:
+                expanded.pop(key, None)
+    terms = expanded
+
+    def try_trim(side):
+        nonlocal terms, lo, hi
+        if not terms or hi < lo:
+            return False
+        right = side == "right"
+        groups = {}
+        for (d, l, v), c in terms.items():
+            stem, ch = (v[:-1], v[-1]) if right else (v[1:], v[0])
+            groups.setdefault((d, stem), {})[ch] = c
+        for by_letter in groups.values():
+            coeffs = iter(by_letter.values())
+            first = next(coeffs)
+            if any(c != first for c in coeffs):
+                return False
+        for (d, stem), by_letter in groups.items():
+            for ch in lang.alphabet:
+                if ch not in by_letter and lang.contains(
+                        stem + ch if right else ch + stem):
+                    return False
+        new_lo = lo if right else lo + 1
+        out = {}
+        for (d, stem), by_letter in groups.items():
+            key = (d, 0, "") if stem == "" else (d, new_lo, stem)
+            out[key] = next(iter(by_letter.values()))
+        terms = out
+        lo = new_lo
+        hi = hi - 1 if right else hi
+        return True
+
+    progress = True
+    while progress and any(k[2] for k in terms):
+        progress = try_trim("right") or try_trim("left")
+    return AlgebraElement(lang, terms, char)
+
+
+def assert_matches_reference(elements):
+    """canonicalize gives the reference's terms on every element."""
     for f in elements:
-        got = canonicalize(AlgebraElement(counted, f.terms, f.char))
-        want = canonicalize(AlgebraElement(queried, f.terms, f.char))
-        assert got.terms == want.terms, f
-    return counted.calls, queried.calls
+        assert canonicalize(f).terms == _reference_normal_form(f).terms, f
 
 
 @dataclass(frozen=True)
@@ -264,13 +315,12 @@ def test_count_decided_trims_match_queries(lang):
         char = 5 if i % 4 == 0 else None
         f, g = rand_elem(lang, rng, host, char), rand_elem(lang, rng, host, char)
         elements += [f, convolve(f, g, canonical=False)]
-    counted, queried = trims_match_queries(lang, elements)
-    assert counted < queried                  # the count path was taken
+    assert_matches_reference(elements)
 
 
 def test_count_decided_trims_match_queries_on_unit_sum(lang):
     # the l = 0 sum of criterion 11, whole and with one word dropped or
-    # doubled, so that the count decides both ways
+    # doubled, so that the extension counts decide both ways
     words = sorted(subst_factor_set(lang.levels, 7 * lang.levels.N[1]))
     whole = {(0, 0, u): 1 for u in words}
     dropped = dict(whole)
@@ -278,23 +328,26 @@ def test_count_decided_trims_match_queries_on_unit_sum(lang):
     doubled = dict(whole)
     doubled[(0, 0, words[17])] = 2
     sums = [AlgebraElement(lang, t) for t in (whole, dropped, doubled)]
-    counted, queried = trims_match_queries(lang, sums)
+    assert_matches_reference(sums)
     assert canonicalize(sums[0]).terms == {(0, 0, ""): 1}
     assert len(canonicalize(sums[1]).terms) > 1
-    assert counted < queried
 
 
-class ComplexityCountingLanguage(CountedLanguage):
-    """CountedLanguage that also counts its complexity calls: a collapsed
-    normal form makes one, the greedy trims two per trimmed letter."""
+class ComplexityCountingLanguage:
+    """A language wrapper that counts its complexity calls: a collapsed
+    normal form makes one."""
 
     def __init__(self, lang):
-        super().__init__(lang)
+        self.lang = lang
+        self.alphabet = lang.alphabet
         self.counts = 0
+
+    def contains(self, u):
+        return self.lang.contains(u)
 
     def complexity(self, n):
         self.counts += 1
-        return super().complexity(n)
+        return self.lang.complexity(n)
 
 
 def _full_sum(lang, coeffs, lo, m):
@@ -325,8 +378,8 @@ def test_full_degrees_collapse_in_one_count(lang):
     mod5[(1, 0, words[-1])] = 3
     kept = [(partial, None, 1), (changed, None, 2), (thirds, None, 0),
             (mod5, 5, 1)]
-    trims_match_queries(lang, [AlgebraElement(lang, t, char)
-                               for t, char, *_ in full + kept])
+    assert_matches_reference([AlgebraElement(lang, t, char)
+                              for t, char, *_ in full + kept])
     for (terms, char), collapsed in zip(full, want):
         counting = ComplexityCountingLanguage(lang)
         got = canonicalize(AlgebraElement(counting, terms, char))
@@ -369,6 +422,34 @@ def test_integral_coefficients_are_int(lang, gens):
         (0, -1, "bab"): 4, (1, -1, "aba"): 1}
 
 
+def test_memo_is_per_language(lang):
+    # the gamma = 2 and 3/2 languages first differ at length 218: there a
+    # stem s of L(217) has both right extensions over 3/2, one over 2
+    levels32 = build_substitution_levels(SubstParams(gamma=Fraction(3, 2)))
+    u = min(subst_factor_set(levels32, 218) - subst_factor_set(lang.levels, 218))
+    s, t = u[:-1], u[1:]
+    assert [lang.contains(s + ch) for ch in "ab"].count(True) == 1
+    assert all(SubstLanguage(levels32).contains(s + ch) for ch in "ab")
+    # a right trim over s, and an expansion that completes s on the right
+    terms = [{(0, 0, s + "a"): 1, (0, 0, s + "b"): 1},
+             {(0, 0, s): 1, (0, 1, t): 2}]
+    for first, second in ((lang.levels, levels32), (levels32, lang.levels)):
+        langs = SubstLanguage(first), SubstLanguage(second)
+        got = {}
+        for x in langs:
+            got[x] = [canonicalize(AlgebraElement(x, f)).terms for f in terms]
+            assert got[x] == [_reference_normal_form(AlgebraElement(x, f)).terms
+                              for f in terms]
+        assert got[langs[0]] != got[langs[1]]
+    # a returned completion cannot change the table behind it
+    x = SubstLanguage(levels32)
+    ext = _completions(x, 0, 217, 0, s)
+    assert ext == (s + "a", s + "b")
+    with pytest.raises(TypeError):
+        ext[0] = s + "b"
+    assert _completions(x, 0, 217, 0, s) == (s + "a", s + "b")
+
+
 def test_mixed_algebras_raise_value_error(lang, gens):
     other = SubstLanguage(lang.levels)
     gens_other = make_generators(other)
@@ -409,8 +490,8 @@ def test_xk_language_adapter():
     cyl3 = {(0, -1, "".join(u)): 1 for u in itertools.product("012", repeat=3)
             if xl.contains("".join(u))}
     cyl3[min(cyl3)] = 4
-    trims_match_queries(xl, [s, s - gens["proj"]["1"],
-                             AlgebraElement(xl, cyl3)])
+    assert_matches_reference([s, s - gens["proj"]["1"],
+                              AlgebraElement(xl, cyl3)])
 
 
 def test_witness_product(lang, gens):

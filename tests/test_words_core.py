@@ -238,14 +238,25 @@ def test_window_census_arrays_match_slice_sort():
     # of the width end on a window overlapping at cap - k, and "abc|" at
     # 129 letters and more stops a round at 6 windows (108 letters) short of
     # cap 120, then takes a 2-window round at offsets 0 and 12
-    for size in (64, 65, 128, 129, 256, 257):
-        for letters, cap in (("abc|", 120), ("a", 150), ("ab", 90)):
-            host = "".join(rng.choice(letters) for _ in range(size))
-            c = WindowCensus(host, cap, separators="|")
-            sa, lcp, vlen = _slice_census(host, cap, "|")
-            assert c.sa.tolist() == sa, (host, cap)
-            assert c.lcp.tolist() == lcp, (host, cap)
-            assert c.vlen.tolist() == vlen, (host, cap)
+    cases = [("".join(rng.choice(letters) for _ in range(size)), cap)
+             for size in (64, 65, 128, 129, 256, 257)
+             for letters, cap in (("abc|", 120), ("a", 150), ("ab", 90))]
+    # a periodic run of 9,000 letters and a random tail of 3,000: the run's
+    # suffixes sort into a few long blocks of equal rank, so the rank
+    # changes lie sparse over several 1024-entry chunks of sa, and dense
+    # among the tail's suffixes.  The lcp pass takes runs of several chunks
+    # and single dense chunks, and ends on a run short of a chunk's length
+    # of rank changes
+    for run, tail in (("ab", "abc"), ("abc", "abc|")):
+        host = run * (9000 // len(run)) + "".join(rng.choice(tail)
+                                                  for _ in range(3000))
+        cases += [(host, 40), (host, 100)]
+    for host, cap in cases:
+        c = WindowCensus(host, cap, separators="|")
+        sa, lcp, vlen = _slice_census(host, cap, "|")
+        assert c.sa.tolist() == sa, (host, cap)
+        assert c.lcp.tolist() == lcp, (host, cap)
+        assert c.vlen.tolist() == vlen, (host, cap)
 
 
 def test_window_census_fallback_round():
