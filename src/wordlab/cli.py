@@ -321,7 +321,7 @@ def run_algebra(args):
     elif args.command == "decompose-identity":
         rep = verify_unit_decomposition(lang, args.l)
     elif args.command == "ret-bracket":
-        rep = ret_bracket_report(lang, args.n, seed=args.seed)
+        rep = ret_bracket_report(lang, args.n)
     else:                                      # dims
         rows = [(r["N"], r["dim"], r.get("ratio_2N_over_N", ""))
                 for r in w_basis_dimensions(lang, args.N)]
@@ -354,7 +354,8 @@ def build_parser():
     fam = p.add_subparsers(dest="family", required=True)
 
     g = fam.add_parser("growth")
-    g.add_argument("--g", default="n^2", help="id | n^2 | nlogn")
+    g.add_argument("--g", default="n^2",
+                   help="id | n^2 | nlogn | 2^ceil-sqrt | const-2")
     g.add_argument("--n-max", type=int, default=4096)
     gs = g.add_subparsers(dest="command", required=True)
     gs.add_parser("build", parents=[common])

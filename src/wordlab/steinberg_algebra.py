@@ -258,6 +258,22 @@ def canonicalize(f):
     return _normal_form(AlgebraElement(f.lang, terms, f.char))
 
 
+def _expand(lang, norm, terms, lo, hi):
+    """The terms, all of language words or full-space, as a sum over the
+    language words on [lo, hi]: (d, lo, v) -> coefficient, zero-free, with
+    coefficients reduced by norm."""
+    expanded = {}
+    for (d, l, pat), c in terms.items():
+        for v in _completions(lang, lo, hi, l if pat else lo, pat):
+            key = (d, lo, v)
+            s = norm(expanded.get(key, 0) + c)
+            if s:
+                expanded[key] = s
+            else:
+                expanded.pop(key, None)
+    return expanded
+
+
 def _normal_form(f):
     """canonicalize without its language filter, for an element whose
     patterns are all language words and whose full-space terms are keyed
@@ -278,16 +294,7 @@ def _normal_form(f):
         return AlgebraElement(lang, terms, char)
     lo = min(k[1] for k in pats)
     hi = max(k[1] + len(k[2]) - 1 for k in pats)
-    expanded = {}
-    for (d, l, pat), c in terms.items():
-        for v in _completions(lang, lo, hi, l if pat else lo, pat):
-            key = (d, lo, v)
-            s = f._c(expanded.get(key, 0) + c)
-            if s:
-                expanded[key] = s
-            else:
-                expanded.pop(key, None)
-    terms = expanded
+    terms = _expand(lang, f._c, terms, lo, hi)
 
     coeff = {}
     if all(coeff.setdefault(d, c) == c for (d, _, _), c in terms.items()):
@@ -333,24 +340,6 @@ def _normal_form(f):
     while progress and lo <= hi:
         progress = try_trim(True) or try_trim(False)
     return AlgebraElement(lang, terms, char)
-
-
-def vanishes_on_sample(f, degree, lo, word):
-    """True when every degree-matching term conflicts with the sample on the
-    overlap, so f vanishes at every point of X extending the sample."""
-    s_hi = lo + len(word) - 1
-    for (d, l, pat), _ in f.terms.items():
-        if d != degree:
-            continue
-        conflict = False
-        for i, ch in enumerate(pat):
-            pos = l + i
-            if lo <= pos <= s_hi and word[pos - lo] != ch:
-                conflict = True
-                break
-        if not conflict:
-            return False
-    return True
 
 
 def w_basis_dimension(lang, N):
@@ -432,6 +421,26 @@ def verify_algebra_identities(lang, trials, seed):
 # ---------------------------------------------------------------------------
 # the two constructive proofs
 
+def _least_value(f):
+    """(k, hull_lo, v, A, total): the least degree k and lexicographically
+    least language completion v of the pattern hull [hull_lo, ...] at which
+    f does not vanish, the terms A that match there and their coefficient
+    sum, read off f expanded to the hull.  A pattern outside the language
+    is the empty set, so it matches nowhere."""
+    pats = [key for key in f.terms if key[2]]
+    hull_lo = min([lo for _, lo, _ in pats], default=0)
+    hull_hi = max([lo + len(pat) - 1 for _, lo, pat in pats], default=-1)
+    terms = {key: c for key, c in f.terms.items()
+             if not key[2] or f.lang.contains(key[2])}
+    values = _expand(f.lang, f._c, terms, hull_lo, hull_hi)
+    if not values:
+        raise AssertionError("nonzero element with no nonzero value")
+    k, _, v = min(values)
+    A = [(d, lo, pat) for d, lo, pat in terms if d == k
+         and all(v[lo + i - hull_lo] == ch for i, ch in enumerate(pat))]
+    return k, hull_lo, v, A, values[k, hull_lo, v]
+
+
 def witness_product(f, l=None):
     """For 0 != f supported in W_n: find (k, xi) with f(k, xi) != 0, build
     W = {x : x[-n-p, n+q] = alpha_{l+1} beta_{l+1}} around an embedding of
@@ -454,31 +463,7 @@ def witness_product(f, l=None):
     if 2 * n + 1 > levels.Nt[l + 1]:
         raise ValueError("depth: 2n+1 = %d exceeds Ntilde_%d" % (2 * n + 1, l + 1))
 
-    # locate a nonzero value of f: a degree and a language completion of the
-    # pattern hull at which the matching coefficients do not cancel
-    pats = [k for k in f.terms if k[2]]
-    hull_lo = min([k[1] for k in pats], default=0)
-    hull_hi = max([k[1] + len(k[2]) - 1 for k in pats], default=-1)
-    found = None
-    for k in f.degrees():
-        for v in (_completions(lang, hull_lo, hull_hi, hull_lo, "")
-                  if hull_hi >= hull_lo else [""]):
-            total = f._c(0)
-            A = []
-            for (d, lo, pat), c in f.terms.items():
-                if d != k:
-                    continue
-                if all(v[lo + i - hull_lo] == ch for i, ch in enumerate(pat)):
-                    total = f._c(total + c)
-                    A.append((d, lo, pat))
-            if total:
-                found = (k, v, A, total)
-                break
-        if found:
-            break
-    if found is None:
-        raise AssertionError("nonzero element with no nonzero value")
-    k, v, A, total = found
+    k, hull_lo, v, A, total = _least_value(f)
 
     # extend the sample to [-n, n] and embed it in the master word
     xi_win = _completions(lang, -n, n, hull_lo if v else -n, v)[0]
@@ -498,8 +483,6 @@ def witness_product(f, l=None):
 
     # (i) every matched term contains W; (ii) unmatched terms are excluded
     for (d, lo, pat) in A:
-        if d != k:
-            raise AssertionError("matched term of degree %d, not %d" % (d, k))
         for i, ch in enumerate(pat):
             if AB[lo + i - w_lo] != ch:
                 raise AssertionError("condition (i) fails")
@@ -586,8 +569,6 @@ def verify_unit_decomposition(lang, l):
             raise AssertionError("length-%d factor without the masters: %r"
                                  % (7 * N, u[:40]))
         t_u = 7 * N - e_u - 2 * N
-        if e_u + t_u != 5 * N:
-            raise AssertionError("e_u + t_u = %d, not 5 N" % (e_u + t_u))
         eta, theta = u[:e_u], u[e_u + 2 * N:]
         chain = []
         if eta:
@@ -642,12 +623,12 @@ def _ceil_power(K, n, gamma):
     return r if r ** qg == val else r + 1
 
 
-def ret_bracket_report(lang, n, seed=0):
+def ret_bracket_report(lang, n):
     """Finite-scale bracket on the return function:
       lower: Ret_V(8n) >= ceil((Rec_w(n) - n) / 2), certified by the witness
              pair (u, v): u a length-n factor, v a factor of length Rec-1
-             with no occurrence of u, and sampled type-(*) products vanishing
-             on v;
+             with no occurrence of u, so that every type-(*) product, which
+             carries u inside v's window, vanishes on v;
       upper: the constructive machinery's degree budget 8 (c+3) ceil(K n^gamma)
              with c measured by the unit-decomposition audit and K from the
              master-length estimate 2 N_{l+1} <= ceil(K n^gamma).
@@ -674,20 +655,9 @@ def ret_bracket_report(lang, n, seed=0):
         v = v[:2 * s + n]
         if u in v:
             raise AssertionError("witness u occurs in the trimmed v")
-        # sampled type-(*) products 1_{{d} x Z} * a * 1_{{d'} x Z'} vanish
-        # at (0, x) for any x extending the sample v on [-s, s+n-1]
-        a = AlgebraElement(lang, {(0, 0, u): 1})
-        rng = random.Random(seed)
-        for _ in range(8):
-            d1, d2 = rng.randint(-s, s), rng.randint(-s, s)
-            i = rng.randrange(len(host) - (2 * s + 1))
-            z = AlgebraElement(lang, {(d1, -s, host[i:i + 2 * s + 1]): 1})
-            i = rng.randrange(len(host) - (2 * s + 1))
-            z2 = AlgebraElement(lang, {(d2, -s, host[i:i + 2 * s + 1]): 1})
-            prod = convolve(convolve(z, a, canonical=False), z2,
-                            canonical=False)
-            if not all(vanishes_on_sample(prod, d, -s, v) for d in prod.degrees()):
-                raise AssertionError("a sampled type-(*) product does not vanish on v")
+        # every type-(*) product 1_{{d} x Z} 1_{{0} x [u]} 1_{{d'} x Z'}
+        # with |d'| <= s carries u at [d', d' + n - 1], inside v's window
+        # [-s, s + n - 1], so u not in v makes it vanish on v
         report["witness_u"] = u
         report["witness_v_len"] = len(v)
         report["type_star_vanish"] = True

@@ -253,7 +253,7 @@ def verify_xk_structure(oracle):
     (1) every word starts and ends in {1,2};
     (2) each word of X_k extends to X_{k+1} words across 0^{n_k} on both sides;
     (3) prefixes/suffixes of length n_d of deeper-level words are X_d words
-        (shorter prefixes follow by prefix closure)."""
+        (checked at d = k - 1; every smaller d follows)."""
     report = {"boundary_letters": {}, "extension": {}, "pushdown": {}}
     for k in range(1, oracle.E + 1):
         lv = oracle.level(k)
@@ -271,16 +271,17 @@ def verify_xk_structure(oracle):
         report["extension"][k] = ok
         if not ok:
             raise AssertionError("extension fact fails at level %d" % k)
+    # depth k - 1 only: a length-n_d prefix (suffix) of a level-k word is
+    # one of its length-n_{k-1} prefix (suffix), an X_{k-1} word checked
+    # one level down, so every smaller d follows by induction on k
     for k in range(2, oracle.E + 1):
-        lv = oracle.level(k)
-        for d in range(1, k):
-            nd = oracle.level(d).n
-            dset = set(oracle.level(d).words)
-            ok = all(wd[:nd] in dset and wd[-nd:] in dset for wd in lv.words)
-            report["pushdown"].setdefault(k, {})[d] = ok
-            if not ok:
-                raise AssertionError("pushdown fails: level %d prefixes at depth %d"
-                                     % (k, d))
+        prev = oracle.level(k - 1)
+        dset = set(prev.words)
+        if not all(wd[:prev.n] in dset and wd[-prev.n:] in dset
+                   for wd in oracle.level(k).words):
+            raise AssertionError("pushdown fails: level %d prefixes at depth %d"
+                                 % (k, k - 1))
+        report["pushdown"][k] = dict.fromkeys(range(1, k), True)
     return report
 
 
@@ -301,29 +302,6 @@ def spike_parameters(oracle, l):
         if _phase(m, r) == "squaring":
             s *= s
     return t, s, n, (n + 1, n + 3 * t)
-
-
-def missing_xi_pairs(host, words, n):
-    """The pairs (u, v) of words (all of one length t, each starting and
-    ending in a nonzero letter) that host never shows as 0^t u 0^n v 0^t
-    around a maximal run of exactly n zeros, in sorted order.
-
-    Every xi_{u,v,i} = 0^i u 0^n v 0^(t-i), 0 <= i <= t, is a window of
-    0^t u 0^n v 0^t, so an empty result puts the whole of family B in host.
-    """
-    t = len(words[0])
-    arr = np.frombuffer(host.encode("latin1"), dtype=np.uint8)
-    nonzero = np.flatnonzero(arr != ord("0"))
-    # a maximal 0^n run starts right after a nonzero letter followed, n + 1
-    # places on, by the next one
-    runs = nonzero[np.flatnonzero(np.diff(nonzero) == n + 1)] + 1
-    zeros = "0" * t
-    found = set()
-    for z in runs.tolist():
-        if (z >= 2 * t and host[z - 2 * t:z - t] == zeros
-                and host[z + n + t:z + n + 2 * t] == zeros):
-            found.add((host[z - t:z], host[z + n:z + n + t]))
-    return sorted(set((u, v) for u in words for v in words) - found)
 
 
 def _decodes_as_xi(e, wordset, n, t):
@@ -349,10 +327,12 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
       B: xi_{u,v,i} = 0^i u 0^n v 0^{t-i} for u, v in X_{k_l+r}, 0 <= i <= t.
     Both checks are exact.  A's extensions are distinct strings read from
     the census blocks.  B is never built: each xi decodes uniquely (i is
-    the number of leading zeros), so |B| = (t+1) s^2, and B lies in L_w
-    once every pair (u, v) occurs in the host as 0^t u 0^n v 0^t.  The
-    families overlap in exactly the extension of 0^n.  Failed checks raise
-    AssertionError.  Returns the report with the spike position m.
+    the number of leading zeros), so |B| = (t+1) s^2.  B lies in L_w
+    because X_{k_{l+1}+1} takes all pairs of X_{k_{l+1}} words, checked as
+    its squaring phase and, for each u in X_{k_l+r}, an X_{k_{l+1}} word
+    ending in 0^t u and one starting with u 0^t.  The families overlap in
+    exactly the extension of 0^n.  Failed checks raise AssertionError.
+    Returns the report with the spike position m.
     """
     r = oracle.params.r
     t, s, n, (wlo, whi) = spike_parameters(oracle, l)
@@ -375,10 +355,20 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
                              % (xk.k, s, t))
     if not all(u[0] in "12" and u[-1] in "12" for u in xk.words):
         raise AssertionError("an X_%d word has 0 at the boundary" % xk.k)
-    missing = missing_xi_pairs(host, xk.words, n)
-    if missing:
-        raise AssertionError("family B: (u, v) = %r never occurs as "
-                             "0^t u 0^n v 0^t" % (missing[0],))
+    # X_{d_host} = Y 0^n Y takes all pairs of Y = X_{d_host - 1}, so with a
+    # Y word ending in 0^t u and one starting with v 0^t it holds
+    # 0^t u 0^n v 0^t, of which every xi_{u,v,i} is a window
+    if oracle.level(d_host).phase != "squaring":
+        raise AssertionError("family B: X_%d is not a squaring level" % d_host)
+    y = oracle.level(d_host - 1).words
+    zeros = "0" * t
+    ends = set(wd[-2 * t:] for wd in y)
+    starts = set(wd[:2 * t] for wd in y)
+    for u in xk.words:
+        if zeros + u not in ends or u + zeros not in starts:
+            raise AssertionError("family B: no X_%d word ends in 0^t u, or "
+                                 "none starts with u 0^t, for u = %r"
+                                 % (d_host - 1, u))
     fam_b = (t + 1) * s * s
 
     # --- family A ------------------------------------------------------

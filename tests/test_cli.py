@@ -539,3 +539,11 @@ def test_workers_flag_removed(capsys):
     code, _, _ = run(capsys, "subst", "--gamma", "2", "densities",
                      "--workers", "2")
     assert code == 2
+
+
+def test_growth_help_names_every_growth_function():
+    from wordlab.cli import _subcommands, build_parser
+    from wordlab.growth_functions import _NAMED
+    growth = _subcommands(build_parser())["growth"]
+    g = next(a for a in growth._actions if a.dest == "g")
+    assert g.help.split(" | ") == list(_NAMED)

@@ -10,11 +10,12 @@ from wordlab.steinberg_algebra import (
     AlgebraElement,
     SubstLanguage,
     _completions,
+    _least_value,
     canonicalize,
     convolve,
     make_generators,
+    random_w3_elements,
     ret_bracket_report,
-    vanishes_on_sample,
     verify_unit_decomposition,
     w_basis_dimension,
     witness_product,
@@ -23,6 +24,7 @@ from wordlab.steinberg_algebra import (
 from wordlab.substitution_word import (
     SubstParams,
     build_substitution_levels,
+    recurrence_function,
     subst_factor_set,
 )
 
@@ -524,10 +526,125 @@ def test_ret_bracket(lang):
     assert rep["upper"]["master_len_le_K_n_gamma"]
 
 
-def test_vanishes_on_sample(lang):
+# dual route for the type-(*) vanishing that ret_bracket_report derives from
+# u not in v: the products themselves, read on the sample v
+
+def vanishes_on_sample(f, degree, lo, word):
+    """True when every degree-matching term conflicts with the sample on the
+    overlap, so f vanishes at every point of X extending the sample."""
+    s_hi = lo + len(word) - 1
+    for (d, l, pat), _ in f.terms.items():
+        if d != degree:
+            continue
+        if not any(lo <= l + i <= s_hi and word[l + i - lo] != ch
+                   for i, ch in enumerate(pat)):
+            return False
+    return True
+
+
+def test_type_star_products_vanish_on_v(lang):
     f = AlgebraElement(lang, {(0, 0, "aaa"): 1})
     assert vanishes_on_sample(f, 0, 0, "aab")
     assert not vanishes_on_sample(f, 0, 0, "aa")   # no conflict on overlap
+    # the witness pair (u, v) of ret_bracket_report at n = 18
+    n = 18
+    rec = recurrence_function(lang.levels, n)
+    cert = rec["certificate"]
+    s = (rec["rec"] - 1 - n) // 2
+    host = (lang.levels.AB if cert["host"] == "AB"
+            else lang.levels.BA)(cert["host_level"])
+    v = host[cert["failing_window"]:][:2 * s + n]
+    u = cert["missing_pattern"]
+    rep = ret_bracket_report(lang, n)
+    assert (rep["witness_u"], rep["witness_v_len"]) == (u, len(v))
+    assert rep["type_star_vanish"] and u not in v and s >= n
+
+    def product(d, z, pat, d2, z2):
+        return convolve(convolve(AlgebraElement(lang, {(d, -s, z): 1}),
+                                 AlgebraElement(lang, {(0, 0, pat): 1}),
+                                 canonical=False),
+                        AlgebraElement(lang, {(d2, -s, z2): 1}),
+                        canonical=False)
+
+    # Z and Z' from random windows of the host, whose products are mostly
+    # empty, and from the host around occurrences of u: Z' on [-s, s] and
+    # Z on [d' - s, d' + s] read where u sits at [d', d' + n - 1]
+    rng = random.Random(18)
+    span = 2 * s + 1
+    zs = [host[i:i + span] for i in rng.sample(range(len(host) - span), 3)]
+    occ = [i for i in range(2 * s, len(host) - 2 * s - n)
+           if host.startswith(u, i)][:3]
+    nonzero = 0
+    for d, d2 in itertools.product((-s, s), (-s, 0, s)):
+        pairs = list(itertools.product(zs, zs))
+        pairs += [(host[i - s:i + s + 1], host[i - d2 - s:i - d2 + s + 1])
+                  for i in occ]
+        for z, z2 in pairs:
+            prod = product(d, z, u, d2, z2)
+            nonzero += not prod.is_zero()
+            assert all(vanishes_on_sample(prod, e, -s, v)
+                       for e in prod.degrees()), (d, d2, z, z2)
+    assert len(occ) == 3 and nonzero >= 2 * 3 * len(occ)
+    # with the factor of v at [0, n - 1] in place of u, the product through
+    # v's own window does not vanish on v
+    z = v[:2 * s + 1]
+    assert not vanishes_on_sample(product(s, z, v[s:s + n], 0, z), s, -s, v)
+
+
+# dual route for the value witness_product starts from: the loop over every
+# degree and every completion of the pattern hull, reading f term by term
+
+def _reference_witness_value(f):
+    """(k, v, matched terms, coefficient sum) at the least degree k and the
+    first completion v of the pattern hull at which f is nonzero, or None."""
+    pats = [key for key in f.terms if key[2]]
+    hull_lo = min([key[1] for key in pats], default=0)
+    hull_hi = max([key[1] + len(key[2]) - 1 for key in pats], default=-1)
+    for k in f.degrees():
+        for v in (_reference_completions(f.lang, hull_lo, hull_hi, hull_lo, "")
+                  if hull_hi >= hull_lo else [""]):
+            total = f._c(0)
+            A = []
+            for (d, lo, pat), c in f.terms.items():
+                if d == k and all(v[lo + i - hull_lo] == ch
+                                  for i, ch in enumerate(pat)):
+                    total = f._c(total + c)
+                    A.append((d, lo, pat))
+            if total:
+                return k, v, A, total
+    return None
+
+
+def test_least_value_matches_reference(lang):
+    elements = [f for seed in range(40) for f in random_w3_elements(lang, 25, seed)]
+    assert not (lang.contains("abab") or lang.contains("aaaa"))
+    extra = [
+        # a pattern outside the language widens the hull and matches nowhere,
+        # though "aaaa" spans the hull and sorts before its completions
+        {(0, -3, "aaaa"): 1, (0, 0, "b"): 1},
+        {(0, -3, "abab"): 1, (0, 0, "a"): 2},
+        {(1, 2, "abab"): 1, (-1, 0, "ab"): 1, (-1, 1, "b"): -1},
+        # full-space terms only
+        {(1, 0, ""): 2, (-1, 0, ""): -3},
+        {(0, 0, ""): Fraction(1, 2)},
+        # coefficients that cancel on every completion of a degree
+        {(0, 0, "a"): 1, (0, 0, "b"): 1, (0, 0, ""): -1, (2, 1, "ab"): 3},
+        {(0, 0, "a"): 1, (0, 0, ""): -1, (0, 1, "a"): 1},
+        {(-2, -1, "aab"): 1, (-2, -1, "a"): -1, (1, 0, "b"): 1},
+        {(3, 0, "ba"): 2, (3, 1, "a"): -2, (3, 0, "bb"): 1},
+    ]
+    elements += [AlgebraElement(lang, t) for t in extra]
+    elements += [AlgebraElement(lang, t, char=5) for t in extra[:2]]
+    elements.append(AlgebraElement(lang, {(0, 0, "a"): 2, (0, 0, ""): 3},
+                                   char=5))
+    for f in elements:
+        k, _, v, A, total = _least_value(f)
+        assert (k, v, A, total) == _reference_witness_value(f), f
+    # a nonzero sum of terms that is zero as a function
+    f = AlgebraElement(lang, {(0, 0, "a"): 1, (0, 0, "b"): 1, (0, 0, ""): -1})
+    assert not f.is_zero() and _reference_witness_value(f) is None
+    with pytest.raises(AssertionError, match="no nonzero value"):
+        _least_value(f)
 
 
 # a master word that min_period calls periodic must fail condition (iii) of

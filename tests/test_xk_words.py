@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -10,7 +11,6 @@ from wordlab.xk_words import (
     build_xk_levels,
     checkpoints,
     de_bruijn_pairs,
-    missing_xi_pairs,
     spike_parameters,
     verify_xk_structure,
     xk_complexity_table,
@@ -159,24 +159,6 @@ def test_spike_parameters(oracle):
         spike_parameters(oracle, 0)
 
 
-def test_missing_xi_pairs(oracle):
-    # X_3 = X_2 0^3 X_2 and X_2 = X_1 0 X_1: around each maximal 0^3 run of
-    # the level-3 search host sits 0 y 000 x 0 with x, y in X_1 = {1, 2}
-    assert missing_xi_pairs(oracle.search_host(3), oracle.level(1).words, 3) == []
-    words = oracle.level(2).words           # t = 3
-    pairs = [(u, v) for u in words for v in words]
-
-    def host(ps, n=9, left=3, right=3):
-        return "|".join("0" * left + u + "0" * n + v + "0" * right for u, v in ps)
-
-    assert missing_xi_pairs(host(pairs), words, 9) == []
-    assert missing_xi_pairs(host(pairs[:5] + pairs[6:]), words, 9) == [pairs[5]]
-    # runs one zero longer, or padding one zero short, show no pair
-    assert missing_xi_pairs(host(pairs, n=10), words, 9) == pairs
-    assert missing_xi_pairs(host(pairs, left=2), words, 9) == pairs
-    assert missing_xi_pairs(host(pairs, right=2), words, 9) == pairs
-
-
 def test_decodes_as_xi(oracle):
     words = set(oracle.level(2).words)      # t = 3, n = 9 below
     xi = ["0" * i + u + "0" * 9 + v + "0" * (3 - i)
@@ -276,3 +258,47 @@ def test_spike_parameters_second_checkpoint(oracle):
     # squarings at levels 2-4 and 6-7, n = n_17; a closed form, no level 17
     assert spike_parameters(oracle, 2) == (729, 2**32, 3**16,
                                            (43046722, 43048908))
+
+
+# levels built as usual, then corrupted through the patch below; each
+# command runs under python -O, where an assert would be stripped
+_CORRUPTED_LEVELS = """
+import sys
+from wordlab import cli, xk_words as xk
+
+real = xk.build_xk_levels
+
+def corrupted(params):
+    levels = real(params)
+    %s
+    return levels
+
+xk.build_xk_levels = corrupted
+sys.exit(cli.parse_and_dispatch(%r))
+"""
+
+
+def _corrupted_run(run_python_O, patch, argv):
+    proc = run_python_O(_CORRUPTED_LEVELS % (patch, argv))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    return json.loads(proc.stderr)["witness"]["failed_assertion"]
+
+
+def test_spike_family_b_fails_under_python_O(run_python_O):
+    # without a_7 0^27 a_8 no X_5 word starts with a_7 0^27, so the pairs
+    # (a_7, v) of X_4 words are not all in L_w
+    msg = _corrupted_run(run_python_O, "del levels[5].words[7]",
+                         ["xk", "--max-level", "6", "verify-spike"])
+    assert msg.startswith("family B: no X_5 word ends in 0^t u, or none "
+                          "starts with u 0^t, for u = "), msg
+
+
+def test_structure_pushdown_fails_under_python_O(run_python_O):
+    # an X_4 word whose length-9 prefix is no X_3 word, though it keeps its
+    # boundary letters and every other X_4 word keeps the extension fact
+    msg = _corrupted_run(
+        run_python_O,
+        "levels[4].words[5] = '1' * 9 + levels[4].words[5][9:]",
+        ["xk", "--max-level", "4", "verify-structure"])
+    assert msg == "pushdown fails: level 4 prefixes at depth 3"
