@@ -131,7 +131,8 @@ class DeepestLevel:
             below = self._below
             check_budget(_words_bytes(len(below.W) * len(below.C), 2 ** self.k),
                          self._params.max_bytes, "W(%d) needs about" % self.k)
-            self._W = sorted(w + c for w in below.W for c in below.C)
+            # sorted lists of 2^(K-1)-letter words: w + c ascends with (w, c)
+            self._W = [w + c for w in below.W for c in below.C]
         return self._W
 
 

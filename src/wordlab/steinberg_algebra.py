@@ -124,10 +124,6 @@ class AlgebraElement:
     def degrees(self):
         return sorted({d for d, _, _ in self.terms})
 
-    def homogeneous_degree(self):
-        ds = self.degrees()
-        return ds[0] if len(ds) == 1 else None
-
     def window_radius(self):
         """Smallest N with the element in W_N (degrees and windows)."""
         n = 0

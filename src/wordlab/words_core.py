@@ -183,13 +183,14 @@ def sliding_containment_scan(host, K, patterns):
 # int64 keys whose low pb bits hold the position i (pb = (L-1).bit_length()),
 # so equal high bits tie by position.  Level 0 codes the host's sigma letters
 # 1..sigma in letter order, 0 past the end, in b = sigma.bit_length() bits,
-# and packs i's next (63 - pb) // b letters above i.  After a sort, new ranks
-# start where the high bits change; the dense ranks 1..D are one chunked
-# cumsum, written back by position, and every position past the end reads rank
-# 0.  The next round packs the ranks of q windows at offsets 0, k, 2k, ..., q
-# as large as q D.bit_length() + pb <= 63, read off contiguous slices of the
-# rank level, so a round gathers nothing; when q k passes cap, the last offset
-# is cap - k, and the overlapping windows cover exactly [i, i+cap).  A window
+# and packs i's next (63 - pb) // b letters above i, a chunk of keys at a
+# time.  After a sort, new ranks start where the high bits change; the dense
+# ranks 1..D are one chunked cumsum, written back by position, and every
+# position past the end reads rank 0.  The next round packs the ranks of q
+# windows at offsets 0, k, 2k, ..., q as large as q D.bit_length() + pb <=
+# 63, read off contiguous slices of the rank level, so a round gathers
+# nothing; when q k passes cap, the last offset is cap - k, and the
+# overlapping windows cover exactly [i, i+cap).  A window
 # that runs past the host end holds the end code 0, which no letter has, so
 # its rank is unique from level 0 on, and a window starting past the end reads
 # 0, below every letter: the key order is the order of the truncated
@@ -198,42 +199,42 @@ def sliding_containment_scan(host, K, patterns):
 # past the end first, then the previous order shifted by s), and splits equal
 # rank_k(i) where rank_k(i+s) differs.  The order of the last sort is sa, and
 # sorted neighbours of equal high bits have lcp = cap.  Only the current rank
-# level is kept.  The exact lcp is taken only at the block boundaries, the
-# neighbours of different rank, by comparing m-letter codes packed after the
-# doubling, m = min(cap, 64 // b).
+# level is kept, and sa is allocated when first needed.  The exact lcp is
+# taken only at the block boundaries, the neighbours of different rank, by
+# comparing m-letter uint32 codes packed after the doubling,
+# m = min(cap, 32 // b).
 
-# bytes a host position takes at the build's peak: level 0 holds the bool
-# boundary flags, the packed codes, the int64 keys and the encoded host
-# (1 + 8 + 8 + 1 = 18); a round holds the flags, the keys, the int32 rank
-# level and sa, whose buffer a round that cannot pack two ranks fills with
-# the positions by rank_k(i+s), and the host (1 + 8 + 4 + 4 + 1 = 18); the
-# lcp pass (the flags, the packed codes, int32 sa and lcp, the host) holds
-# as much.  The chunked temporaries take under 80 bytes a chunk entry: under
-# 2 bytes a host position, or 80 KiB at the least chunk; the lcp pass's runs
-# of chunks hold at most a chunk's length of rank changes
-_CENSUS_BYTES_PER_CHAR = 20
+# bytes a host position takes at the build's peak, phase by phase, with the
+# bool boundary flags and the encoded host (2): level 0 the int64 keys (10);
+# a round the keys and the int32 rank level (14); forming sa the keys and
+# int32 sa (14); the lcp pass the uint32 codes, sa and int32 lcp (14); vlen
+# with separators sa, lcp, vlen and the bool separator flags in place of the
+# boundary flags (14), plus 4 bytes a separator.  A round that cannot pack
+# two ranks also fills sa with the positions by rank_k(i+s) (18), so a host
+# whose ranks may take more than half the key bits above the position is
+# charged 4 bytes a char more.  The chunked temporaries take under 80 bytes
+# a chunk entry: under 2 bytes a host position, or 80 KiB at the least
+# chunk; the lcp pass's runs of chunks hold at most a chunk's length of rank
+# changes
+_CENSUS_BYTES_PER_CHAR = 16
 _CENSUS_SLACK = 2**17
 
 
-def _pack_windows(arr, lut, m, bits, length):
-    """uint64 array of `length` entries whose entry i holds the codes lut[]
-    of arr[i .. i+m-1], first letter in the high bits, code 0 past the end
-    of arr (length >= len(arr) + m - 1).  Each shift-OR widens the windows
-    from w to min(2w, m) letters in place, a chunk at a time from the left,
-    so a chunk reads only entries that still hold w-letter windows; when m
-    is not a power of two the last step overlaps, and the overlapping bits
-    hold the same letters.  Entries past the end stay 0, which is right."""
-    packed = np.zeros(length, dtype=np.uint64)
-    for lo, hi in _spans(len(arr)):
-        packed[lo:hi] = lut[arr[lo:hi]]
+def _pack_windows(arr, lut, m, bits, lo, hi, dtype):
+    """hi - lo codes of an unsigned dtype, entry j holding lut[] of
+    arr[lo+j .. lo+j+m-1], first letter in the high bits, 0 past the end of
+    arr.  Each whole-buffer shift-OR widens the windows of the chunk and the
+    m - 1 letters after it from w to min(2w, m) letters; when m is not a
+    power of two the last step overlaps, on bits that hold the same letters."""
+    part = arr[lo:hi + m - 1]
+    codes = np.zeros(hi - lo + m - 1, dtype=dtype)
+    codes[:len(part)] = lut[part]
     w = 1
     while w < m:
         s = min(w, m - w)
-        shift = np.uint64(bits * s)
-        for lo, hi in _spans(len(arr)):
-            packed[lo:hi] = (packed[lo:hi] << shift) | packed[lo + s:hi + s]
+        codes[:-s] = (codes[:-s] << bits * s) | codes[s:]
         w += s
-    return packed
+    return codes[:hi - lo]
 
 
 def _spans(L, start=0):
@@ -308,35 +309,32 @@ class WindowCensus:
         sigma = int(np.count_nonzero(seen))
         lut[seen] = np.arange(1, sigma + 1, dtype=np.uint64)
         bits = sigma.bit_length()
-        m = min(cap, 64 // bits)
-        # the per-char peak, the padding past the end (cap int32 ranks, cap
-        # uint64 codes) and the slack for the least chunk
-        check_budget(_CENSUS_BYTES_PER_CHAR * L + 12 * (cap + 1) + _CENSUS_SLACK,
+        m = min(cap, 32 // bits)
+        pb = (L - 1).bit_length()           # bits of a position
+        mask = (1 << pb) - 1
+        free = 63 - pb                      # key bits above the position
+        # the per-char peak, 4 more when a round may not fit two ranks, the
+        # separators' positions, the padding past the end (cap int32 ranks
+        # and uint32 codes) and the slack for the least chunk
+        per_char = _CENSUS_BYTES_PER_CHAR + (4 if 2 * L.bit_length() > free else 0)
+        n_sep = sum(host.count(c) for c in set(separators))
+        check_budget(per_char * L + 4 * n_sep + 8 * (cap + 1) + _CENSUS_SLACK,
                      max_bytes, "census of %d chars at cap %d needs about" % (L, cap))
         if L + cap >= 2**31:
             raise ValueError("census of %d chars at cap %d: positions past "
                              "int32" % (L, cap))
-        pb = (L - 1).bit_length()           # bits of a position
-        mask = (1 << pb) - 1
-        free = 63 - pb                      # key bits above the position
         fresh = np.empty(L, dtype=bool)     # fresh[t]: sorted t starts a rank
         fresh[0] = True
 
         # level 0: the key of i is its next k letters' packed codes << pb | i
         k = min(cap, free // bits)
-        packed = _pack_windows(arr, lut, k, bits, L + k)
         key = np.empty(L, dtype=np.int64)
         for lo, hi in _spans(L):
-            np.left_shift(packed[lo:hi].view(np.int64), pb, out=key[lo:hi])
+            codes = _pack_windows(arr, lut, k, bits, lo, hi, np.uint64)
+            np.left_shift(codes.view(np.int64), pb, out=key[lo:hi])
             key[lo:hi] |= np.arange(lo, hi)
-        del packed
         rank = np.zeros(L + cap, dtype=np.int32)
-        # the order of the last sort; until then, a fallback round's
-        # positions by rank_k(i + s).  Allocated here, as fresh is before
-        # level 0: allocated after the rounds, the same bytes leave a heap
-        # that a caller's next large arrays reuse worse (13 MB more peak RSS
-        # in perfbench's xk-ergodic)
-        sa = np.empty(L, dtype=np.int32)
+        sa = None                           # allocated when first needed
         s = 0                               # a fallback round's shift
         while True:
             key.sort()
@@ -385,6 +383,7 @@ class WindowCensus:
                 # in sa listing the positions by rank_k(i + s): i + s past
                 # the end first, then the sorted order shifted by s
                 s = min(k, cap - k)
+                sa = np.empty(L, dtype=np.int32) if sa is None else sa
                 top = min(s, L)
                 sa[:top] = np.arange(L - top, L, dtype=np.int32)
                 for lo, hi in _spans(L):
@@ -398,6 +397,7 @@ class WindowCensus:
                     key[lo:hi] |= np.arange(lo, hi)
                 k += s
         del rank
+        sa = np.empty(L, dtype=np.int32) if sa is None else sa
         for lo, hi in _spans(L):
             sa[lo:hi] = key[lo:hi] & mask
         del key
@@ -410,8 +410,10 @@ class WindowCensus:
         # Runs of chunks are taken together while their rank changes number
         # at most a chunk's length, so a host whose rank changes are sparse
         # pays the up to cap / m steps once a run, not once a chunk
-        packed = _pack_windows(arr, lut, m, bits, L + cap)
-        pow2 = np.uint64(1) << np.arange(64, dtype=np.uint64)
+        packed = np.zeros(L + cap, dtype=np.uint32)
+        for lo, hi in _spans(L):
+            packed[lo:hi] = _pack_windows(arr, lut, m, bits, lo, hi, np.uint32)
+        pow2 = 1 << np.arange(32, dtype=np.uint32)
         lcp = np.full(L, cap, dtype=np.int32)
         lcp[0] = 0
 

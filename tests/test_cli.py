@@ -192,7 +192,8 @@ def test_subst_refuses_what_it_cannot_check(capsys, argv, message):
 
 def test_census_budget_exits_2(capsys):
     # Rec(108) takes a cap-108 census of each 3,359,232-char level-4 master,
-    # estimated at 20 bytes a char: about 67.3 MB > 64 MiB
+    # estimated at 20 bytes a char, as a host past 2^21 chars whose rounds
+    # may not fit two ranks: about 67.3 MB > 64 MiB
     code, out, err = run(capsys, "subst", "--gamma", "2", "recurrence",
                          "--n", "108", "--max-bytes", "67108864")
     assert code == 2 and out == ""

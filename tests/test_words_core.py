@@ -106,18 +106,20 @@ def test_window_census_python_path():
         letters = rng.choice(("01", "01|"))
         host = "".join(rng.choice(letters) for _ in range(rng.randint(1, 60)))
         cases.append((host, rng.randint(1, 70)))
-    # around the packed width m = 64 // sigma.bit_length(), "|" counted as a
-    # letter: 4 and 5 letters give m = 21 and 21 letters m = 12, neither a
-    # power of two, and one letter gives m = 64; caps below, at and just
-    # above m, hosts shorter than m, separators at the ends
-    for letters, m in (("abc|", 21), ("abcd|", 21), ("abcdefghijklmnopqrst|", 12),
-                       ("0", 64)):
-        for cap in (m - 1, m, m + 1, 2 * m + 1):
-            for size in (m - 3, m + 1, 3 * m):
-                host = letters + "".join(rng.choice(letters) for _ in range(size))
-                cases.append((host, cap))
-                cases.append(("|" + host[::-1] + "|", cap))
-        cases.append((letters.rstrip("|"), m + 1))
+    # around the 64-bit width m = 64 // b and the lcp pass's 32-bit width
+    # m = 32 // b, b = sigma.bit_length() with "|" counted as a letter: 4
+    # and 5 letters give m = 21 and 10, 21 letters m = 12 and 6, none a
+    # power of two, and one letter gives m = 64 and 32; caps below, at and
+    # just above m, hosts shorter than m, separators at the ends
+    for letters, widths in (("abc|", (21, 10)), ("abcd|", (21, 10)),
+                            ("abcdefghijklmnopqrst|", (12, 6)), ("0", (64, 32))):
+        for m in widths:
+            for cap in (m - 1, m, m + 1, 2 * m + 1):
+                for size in (m - 3, m + 1, 3 * m):
+                    host = letters + "".join(rng.choice(letters) for _ in range(size))
+                    cases.append((host, cap))
+                    cases.append(("|" + host[::-1] + "|", cap))
+            cases.append((letters.rstrip("|"), m + 1))
     cases += [("0" * 64, 64), ("0" * 65, 65), ("0" * 130, 129), ("00|00", 64)]
     for host, cap in cases:
         c = WindowCensus(host, cap, separators="|")
@@ -251,6 +253,10 @@ def test_window_census_arrays_match_slice_sort():
         host = run * (9000 // len(run)) + "".join(rng.choice(tail)
                                                   for _ in range(3000))
         cases += [(host, 40), (host, 100)]
+    # 70,000 letters take chunks of 1,093 entries, and level 0 packs
+    # (63 - 17) // 3 = 15 letters: each chunk's keys read the 14 letters
+    # past its end, and cap 40 takes rounds past level 0
+    cases.append(("".join(rng.choice("abc|") for _ in range(70_000)), 40))
     for host, cap in cases:
         c = WindowCensus(host, cap, separators="|")
         sa, lcp, vlen = _slice_census(host, cap, "|")
@@ -264,11 +270,15 @@ def test_window_census_fallback_round():
     # letters; a random host has nearly 2.2 M distinct 20-letter windows,
     # whose ranks take 22 bits, and no two ranks fit beside the position.
     # The round to cap 24 then sorts rank_20(i) << 22 | place, with place
-    # from the level-0 order shifted by 4
+    # from the level-0 order shifted by 4, and holds sa beside the rank
+    # level: the estimate charges such a host 20 bytes a char, not 16
     L = 2_200_000
     codes = np.random.default_rng(16).integers(0, 3, L, dtype=np.uint8)
     host = (codes + ord("0")).tobytes().decode("ascii")
-    c = WindowCensus(host, 24)
+    built = []
+    peak = _traced_peak(lambda: built.append(WindowCensus(host, 24)))
+    assert peak < 20 * L + 8 * 25 + 2**17, peak
+    c = built[0]
     assert c.count(20) >= 2**21
     # the distinct 2-bit packed windows of each length, counted on a sort
     codes = codes.astype(np.uint64)
@@ -291,10 +301,13 @@ def test_window_census_fallback_round():
 
 
 def _census_need(host, cap):
-    # the census's byte estimate: 20 bytes a host char (18 in arrays at the
-    # peak, under 2 in chunked temporaries), cap + 1 int32 ranks and cap
-    # uint64 codes past the end, and 128 KiB for the least chunk
-    return 20 * len(host) + 12 * (cap + 1) + 2**17
+    # the census's byte estimate for a host of fewer than 2^21 chars: 16
+    # bytes a host char (14 in arrays at the peak, under 2 in chunked
+    # temporaries), cap + 1 int32 ranks and uint32 codes past the end, and
+    # 128 KiB for the least chunk.  It leaves out the 4 bytes a separator
+    # that the census adds for their positions, so a separator host is
+    # checked against a tighter bound
+    return 16 * len(host) + 8 * (cap + 1) + 2**17
 
 
 def _traced_peak(fn):
@@ -309,7 +322,7 @@ def _traced_peak(fn):
 def test_window_census_budget_checked_before_allocating():
     host = "01" * 50_000
     need = _census_need(host, 100)
-    assert need == 20 * 100_000 + 12 * 101 + 2**17
+    assert need == 16 * 100_000 + 8 * 101 + 2**17
     assert WindowCensus(host, 100, max_bytes=need).count(100) == 2
 
     def refused():
