@@ -31,7 +31,6 @@ import numpy as np
 from .growth_functions import GrowthTable, check_growth_properties
 from .words_core import (
     _SET_MEMBER_BYTES,
-    WindowCensus,
     _words_bytes,
     check_budget,
     count_occurrences,
@@ -437,57 +436,56 @@ def _junctions(levels, ks, r):
     return sorted({s + p for sufs, pres in parts for s in sufs for p in pres})
 
 
-def _language_counts(levels, depth, cap):
-    """counts[n], 1 <= n <= cap: distinct length-n factors of the W(depth)
-    words, from one census of the junction strings of levels < depth."""
-    host = "|".join(_junctions(levels, range(depth), cap - 1))
-    return WindowCensus(host, cap, separators="|",
-                        max_bytes=levels.params.max_bytes).counts
-
-
-def language_complexity(levels, cap, depth=None):
-    """Rows {n, count, count_prev, label} for n = 1..cap: the number of
-    distinct length-n factors of the W(depth) words (default the deepest
-    level) and of the W(depth-1) words.  The deeper host holds every
-    junction string of the shallower, so count_prev <= count; the label is
-    "stabilized" where the two agree, else "lower bound".  Only the byte
-    budget limits depth and cap."""
-    if depth is None:
-        depth = levels.deepest
-    if not 2 <= depth <= levels.deepest:
-        raise ValueError("need 2 <= depth <= %d" % levels.deepest)
-    if not 1 <= cap <= 2 ** (depth - 1):
-        raise ValueError("need 1 <= cap <= 2^(depth-1)")
-    deep = _language_counts(levels, depth, cap)
-    prev = _language_counts(levels, depth - 1, cap)
-    return [{"n": n, "count": int(deep[n]), "count_prev": int(prev[n]),
-             "label": "stabilized" if deep[n] == prev[n] else "lower bound"}
-            for n in range(1, cap + 1)]
+def _factor_counts(levels, n):
+    """(count at depth K-1, count at depth K) of the distinct length-n
+    factors of the W(K-1) and the W(K) words, K the deepest level.  For
+    n >= 2, by the covering argument, they are the union over the levels
+    j below the depth and the splits 1 <= i <= 2^j with 1 <= n-i <= 2^j of the
+    products {s_i(w) : w in W(j)} . {p_{n-i}(c) : c in C(j)}, since W(j+1)
+    pairs every w with every c.  The depth K-1 count is the size of that
+    union before level K-1 is added.  The byte budget is checked before each
+    product is added."""
+    K = levels.deepest
+    if n == 1:
+        return len(levels.alphabet), len(levels.alphabet)
+    seen = set()
+    for j in range(K):
+        if j == K - 1:
+            prev = len(seen)
+        W, C = levels.W(j), levels.levels[j].C
+        for i in range(max(1, n - 2 ** j), min(2 ** j, n - 1) + 1):
+            sufs, pres = {w[-i:] for w in W}, {c[:n - i] for c in C}
+            need = len(seen) + len(sufs) * len(pres)
+            check_budget(need * (n + _SET_MEMBER_BYTES), levels.params.max_bytes,
+                         "up to %d factors of %d letters need about" % (need, n))
+            seen.update(s + p for s in sufs for p in pres)
+    return prev, len(seen)
 
 
 def verify_sandwich(levels, k_max=None):
     """Dyadic-scale reflection of f <= p <= n f: for each k <= k_max,
     f(2^k) <= |W(k+1)| and |W(k)| <= p_built(2^k) <= 2^k |W(k+1)|, where
-    p_built counts the factors of the deepest level K and p_prev, reported
-    beside it with the label of language_complexity, those of level K-1.
-    k_max defaults to K-2, a census at cap 2^(K-2); k_max = K-1 takes one at
-    cap 2^(K-1), seconds and hundreds of MB at K = 8, or the budget refuses
-    it (and at depth K-1, row K-1 only reads |W(K-1)|)."""
+    p_built counts the length-2^k factors of the deepest level K and p_prev,
+    reported beside it, those of level K-1.  The label is "stabilized" where
+    the two agree, else "lower bound": both count factors of built words, so
+    each is a lower bound on the subshift's p(2^k).  Both counts come from
+    one pass of split products (_factor_counts) at n = 2^k only.  k_max
+    defaults to K-2 and is at most K-1 (where the depth K-1 count only reads
+    |W(K-1)|)."""
     f = levels.params.f
     K = levels.deepest
     k_max = K - 2 if k_max is None else min(k_max, K - 1)
     if k_max < 0:
         raise ValueError("need k_max >= 0")
-    rows = language_complexity(levels, 2 ** k_max)
     report = {}
     for k in range(0, k_max + 1):
-        row = rows[2 ** k - 1]
+        prev, count = _factor_counts(levels, 2 ** k)
         sizes = {"W_k": levels.cseq.N[max(k - 1, 0)], "W_k1": levels.cseq.N[k]}
         lower = f(2 ** k) <= sizes["W_k1"]
-        upper = sizes["W_k"] <= row["count"] <= 2 ** k * sizes["W_k1"]
-        report[k] = {"f_2k": f(2 ** k), "p_built": row["count"],
-                     "p_prev": row["count_prev"], "label": row["label"], **sizes,
-                     "lower_ok": bool(lower), "count_ok": bool(upper)}
+        upper = sizes["W_k"] <= count <= 2 ** k * sizes["W_k1"]
+        report[k] = {"f_2k": f(2 ** k), "p_built": count, "p_prev": prev,
+                     "label": "stabilized" if count == prev else "lower bound",
+                     **sizes, "lower_ok": bool(lower), "count_ok": bool(upper)}
         if not (lower and upper):
             raise AssertionError("sandwich fails at k=%d" % k)
     return report

@@ -635,6 +635,16 @@ def ret_bracket_report(lang, n):
     gamma = levels.params.gamma
     if gamma is None:
         raise ValueError("ret_bracket_report needs gamma-driven levels")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # the master-length estimate needs no recurrence work, so it fails first
+    K = _ceil_K(gamma, n)
+    l = levels.min_level_for(2 * n + 1) - 1
+    Kn = _ceil_power(K, n, gamma)
+    if 2 * levels.N[l + 1] > Kn:
+        raise AssertionError("master length 2 N_%d = %d exceeds ceil(K n^gamma) "
+                             "= %d at n = %d, K = %d"
+                             % (l + 1, 2 * levels.N[l + 1], Kn, n, K))
     rec = recurrence_function(levels, n)
     R = rec["rec"]
     s = (R - 1 - n) // 2                      # v has length 2s + n (>= R - 2)
@@ -657,13 +667,6 @@ def ret_bracket_report(lang, n):
         report["witness_u"] = u
         report["witness_v_len"] = len(v)
         report["type_star_vanish"] = True
-    K = _ceil_K(gamma, n)
-    l = levels.min_level_for(2 * n + 1) - 1
-    Kn = _ceil_power(K, n, gamma)
-    if 2 * levels.N[l + 1] > Kn:
-        raise AssertionError("master length 2 N_%d = %d exceeds ceil(K n^gamma) "
-                             "= %d at n = %d, K = %d"
-                             % (l + 1, 2 * levels.N[l + 1], Kn, n, K))
     c = 12                                    # proof constant; audit measures
     report["upper"] = {
         "gamma": str(Fraction(gamma)), "l": l, "K": K,

@@ -29,7 +29,6 @@ from .words_core import (
     max_bytes_budget,
     min_period,
     occurrence_positions,
-    sliding_containment_scan,
 )
 
 
@@ -372,8 +371,8 @@ def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
         need = 7 * levels.N[k]
         m = levels.min_level_for(need)
         pats = [levels.AB(k), levels.BA(k)]
-        ok = all(sliding_containment_scan(h, need, pats).ok
-                 for h in (levels.AB(m), levels.BA(m)))
+        ok = all(_pattern_window_stats(occurrence_positions(p, h), len(p), len(h), need)[0]
+                 for h in (levels.AB(m), levels.BA(m)) for p in pats)
         every7[k] = ok
         if not ok:
             raise AssertionError("a length-%d factor misses alpha_%d beta_%d "

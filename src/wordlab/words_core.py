@@ -16,7 +16,6 @@
 # It checks the byte budget before it allocates.
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,19 +97,6 @@ def _words_bytes(count, length):
     return count * (length + _LISTED_WORD_BYTES)
 
 
-# ---------------------------------------------------------------------------
-# sliding containment scan
-
-
-@dataclass
-class ScanResult:
-    ok: bool
-    window_length: int
-    failing_window: int = None       # start index of first window missing a pattern
-    missing_pattern: str = None
-    min_window_lengths: dict = field(default_factory=dict)
-
-
 def _pattern_window_stats(pos, L, host_len, K):
     """(ok, first_fail, min_K) of 'every length-K window of a host of length
     host_len contains a pattern of length L', given the pattern's ascending
@@ -136,35 +122,6 @@ def _pattern_window_stats(pos, L, host_len, K):
     if len(wide):
         return False, int(pos[wide[0]]) + 1, min_K
     return False, min(int(pos[-1]) + 1, n_windows - 1), min_K
-
-
-def sliding_containment_scan(host, K, patterns):
-    """Does every length-K window of host contain every pattern?
-
-    Patterns must be nonempty and no longer than K; host must admit at
-    least one window.  Returns a ScanResult with the first failing window
-    (smallest start index, then lexicographically smallest pattern) and the
-    per-pattern minimal uniform window lengths.
-    """
-    if len(host) < K:
-        raise ValueError("host shorter than window length")
-    stats = {}
-    failures = []
-    for p in sorted(set(patterns)):
-        if len(p) == 0:
-            raise ValueError("empty pattern")
-        if len(p) > K:
-            raise ValueError("pattern longer than window")
-        ok, fail, min_K = _pattern_window_stats(occurrence_positions(p, host),
-                                                len(p), len(host), K)
-        stats[p] = min_K if min_K is not None else len(host) + 1
-        if not ok:
-            failures.append((fail, p))
-    if failures:
-        fail, p = min(failures)
-        return ScanResult(ok=False, window_length=K, failing_window=fail,
-                          missing_pattern=p, min_window_lengths=stats)
-    return ScanResult(ok=True, window_length=K, min_window_lengths=stats)
 
 
 # ---------------------------------------------------------------------------

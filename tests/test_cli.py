@@ -384,10 +384,17 @@ def test_moved_verdicts_exit_1_in_identities_and_complexity(capsys, monkeypatch)
         "failed_assertion": "p(3) = 3 breaks n+1 <= p(n) <= 14n"}
 
 
-def test_ret_bracket_master_length_check_exits_1(capsys):
-    # at gamma = 1 the level-2 masters are longer than ceil(K n^gamma)
-    code, out, err = run(capsys, "algebra", "--gamma", "1", "ret-bracket",
-                         "--n", "2")
+def test_ret_bracket_master_length_check_exits_1(capsys, monkeypatch):
+    # at gamma = 1 the level-2 masters are longer than ceil(K n^gamma); the
+    # estimate fails before any recurrence work
+    import wordlab.steinberg_algebra as sa
+
+    def no_recurrence(levels, n):
+        raise RuntimeError("recurrence_function called")
+
+    monkeypatch.setattr(sa, "recurrence_function", no_recurrence)
+    code, out, err = run(capsys, "algebra", "--gamma", "1", "--levels", "4",
+                         "ret-bracket", "--n", "2")
     assert code == 1 and out == ""
     assert json.loads(err)["witness"]["failed_assertion"].startswith(
         "master length 2 N_2 = 72 exceeds ceil(K n^gamma) = 40")

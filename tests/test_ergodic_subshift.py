@@ -2,12 +2,13 @@ import itertools
 import json
 import math
 import random
-import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wordlab.ergodic_subshift import (
     ErgodicParams,
@@ -15,18 +16,19 @@ from wordlab.ergodic_subshift import (
     build_ergodic_levels,
     decompose_factor,
     interval_rows,
-    language_complexity,
     verify_frequency_deviation,
     verify_interval_nesting,
     verify_sandwich,
     _count_extremes,
+    _factor_counts,
     _interval,
+    _junctions,
     _window_extremes,
     _prefix_blocks,
     _suffix_blocks,
 )
 from wordlab.growth_functions import GrowthTable
-from wordlab.words_core import count_occurrences
+from wordlab.words_core import WindowCensus, count_occurrences
 
 
 def ceil_sqrt(n):
@@ -279,20 +281,23 @@ def test_decompose_not_a_factor(levels):
         decompose_factor(levels, "")
 
 
+def _census_counts(levels, depth, cap):
+    """counts[n], 1 <= n <= cap: distinct length-n factors of the W(depth)
+    words, from one census of the junction strings of levels < depth; the
+    second counting route, and the oracle for _factor_counts."""
+    host = "|".join(_junctions(levels, range(depth), cap - 1))
+    return WindowCensus(host, cap, separators="|",
+                        max_bytes=levels.params.max_bytes).counts
+
+
 def test_language_complexity_labels(levels):
-    rows = language_complexity(levels, 64)
-    assert [r["n"] for r in rows] == list(range(1, 65))
-    assert all(r["count_prev"] <= r["count"] for r in rows)
-    assert all(r["label"] == ("stabilized" if r["count"] == r["count_prev"]
-                              else "lower bound") for r in rows)
-    assert rows[3]["count"] >= 5
+    deep, prev = _census_counts(levels, 8, 64), _census_counts(levels, 7, 64)
+    for n in range(1, 65):
+        assert _factor_counts(levels, n) == (prev[n], deep[n]), n
     # p(64) is far from stable between depths 7 and 8
-    assert (rows[63]["count_prev"], rows[63]["count"]) == (1936, 7040)
-    assert rows[63]["label"] == "lower bound"
-    with pytest.raises(ValueError):
-        language_complexity(levels, 129)
-    with pytest.raises(ValueError):
-        language_complexity(levels, 1, depth=1)
+    assert (prev[64], deep[64]) == (1936, 7040)
+    row = verify_sandwich(levels, k_max=6)[6]
+    assert (row["p_prev"], row["p_built"], row["label"]) == (1936, 7040, "lower bound")
 
 
 def test_sandwich(levels):
@@ -319,23 +324,36 @@ def test_sandwich_top_row_counted_at_small_depth(params):
 
 
 def test_sandwich_top_row_refused_by_budget(params):
-    # row K-1 at K = 8 needs a census of a 16.8M-char host at cap 128; under
-    # a 256 MB budget it is refused before the census allocates
+    # row K-1 at K = 8 counts p(128) from split products in a few MB; a
+    # 1 MiB budget refuses it before its factor set passes the budget
     lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8,
                                             max_bytes=256 * 2 ** 20))
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="^budget: "):
-        verify_sandwich(lv, k_max=7)
-    assert time.perf_counter() - t0 < 5
+    tracemalloc.start()
+    try:
+        rep = verify_sandwich(lv, k_max=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep[7]["p_prev"], rep[7]["p_built"]) == (512, 31008)
+    assert peak < 16 * 2 ** 20
+    lv.params.max_bytes = 2 ** 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^budget: "):
+            verify_sandwich(lv, k_max=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_junction_strings_checked_against_budget(params):
-    # the default sandwich at K = 8 joins up to 1,110 junction strings of 126
-    # letters, about 264 KB as set members
+    # the frequency deviation at n = 5 joins up to 288 junction strings of
+    # 62 letters, about 50 KB as set members
     lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8))
-    lv.params.max_bytes = 10 ** 5
-    with pytest.raises(ValueError, match="^budget: up to 1110 junction strings"):
-        verify_sandwich(lv)
+    lv.params.max_bytes = 10 ** 4
+    with pytest.raises(ValueError, match="^budget: up to 288 junction strings"):
+        verify_frequency_deviation(lv, "ab", 5)
 
 
 def test_frequency_deviation(levels):
@@ -394,10 +412,41 @@ def family(request, params, levels):
 
 def test_language_counts_match_set_of_windows(family):
     for K in range(2, 8):
+        lv = replace(family, levels=family.levels[:K + 1])      # deepest K
         cap = 2 ** (K - 2)
-        rows = language_complexity(family, cap, depth=K)
-        assert [r["count"] for r in rows] == _set_counts(family.W(K), cap), K
-        assert [r["count_prev"] for r in rows] == _set_counts(family.W(K - 1), cap), K
+        got = [_factor_counts(lv, n) for n in range(1, cap + 1)]
+        assert [deep for _, deep in got] == _set_counts(lv.W(K), cap), K
+        assert [prev for prev, _ in got] == _set_counts(lv.W(K - 1), cap), K
+
+
+@st.composite
+def _growth_tables(draw, n_max=256):
+    """Nondecreasing tables of up to four linear pieces on 1..n_max with
+    f(1) in {2, 3}: slopes in 0..2, and a step up of 0..2 where a piece
+    starts."""
+    los = [1] + sorted(draw(st.sets(st.integers(2, n_max), max_size=3)))
+    pieces, at = [], draw(st.sampled_from([2, 3]))      # f at the piece's lo
+    for lo, hi in zip(los, los[1:] + [n_max + 1]):
+        b = draw(st.integers(0, 2))
+        pieces.append((lo, 0, b, at - b * lo))
+        at += b * (hi - lo) + draw(st.integers(0, 2))
+    return GrowthTable.from_pieces(pieces, n_max)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(f=_growth_tables(), K=st.integers(3, 6),
+       policy=st.sampled_from(["lexicographic", "seeded-random"]),
+       seed=st.integers(0, 3))
+def test_factor_counts_match_set_of_windows_on_drawn_tables(f, K, policy, seed):
+    try:
+        lv = build_ergodic_levels(ErgodicParams(f=f, max_level=K,
+                                                choice_policy=policy, seed=seed))
+    except ValueError:
+        assume(False)           # not submultiplicative, or no c_k = 1 by K
+    cap = 2 ** (K - 2)
+    deep, prev = _set_counts(lv.W(K), cap), _set_counts(lv.W(K - 1), cap)
+    for n in range(1, cap + 1):
+        assert _factor_counts(lv, n) == (prev[n - 1], deep[n - 1]), n
 
 
 def test_window_extremes_match_per_word_scan(family):

@@ -31,6 +31,13 @@ def test_cli_draws_and_tabulates_nothing():
     assert imported.isdisjoint({"random", "math"})
 
 
+def test_ergodic_language_has_one_counting_route():
+    # the ergodic factor counts come from split products over the levels;
+    # the junction-host census is the tests' oracle, not a second src route
+    src = pathlib.Path(wordlab.__file__).parent / "ergodic_subshift.py"
+    assert "WindowCensus" not in src.read_text()
+
+
 # public names that no src code uses, each with the reason it stays
 USED_OUTSIDE_SRC = {
     "verify_sandwich": "verifier the benchmark's xk-ergodic workload runs",

@@ -21,7 +21,7 @@ from wordlab.words_core import (
     _pattern_window_stats,
     count_occurrences,
     min_period,
-    sliding_containment_scan,
+    occurrence_positions,
 )
 
 
@@ -31,7 +31,7 @@ def factor_set(hosts, n):
 
 
 def naive_containment(host, K, patterns):
-    """Slow direct rescan of every window; oracle for sliding_containment_scan."""
+    """Slow direct rescan of every window; oracle for _pattern_window_stats."""
     patterns = sorted(set(patterns))
     for i in range(len(host) - K + 1):
         w = host[i:i + K]
@@ -195,8 +195,8 @@ def test_recurrence_small(lv):
     # linear cross-check at the smallest level: direct scan of every window
     pats = sorted(subst_factor_set(lv, 1))
     host = lv.AB(2)
-    assert sliding_containment_scan(host, 4, pats).ok
-    assert not sliding_containment_scan(host, 3, pats).ok
+    assert naive_containment(host, 4, pats)[0]
+    assert not naive_containment(host, 3, pats)[0]
 
 
 def test_recurrence_monotone_and_bounds(lv):
@@ -229,7 +229,8 @@ def test_block_and_find_stats_agree(lv):
     host = lv.AB(3)
     blocks = WindowCensus(host, 5).blocks(5)
     assert [host[b[0]:b[0] + 5] for b in blocks] == pats
-    want = sliding_containment_scan(host, len(host), pats).min_window_lengths
+    want = {p: _pattern_window_stats(occurrence_positions(p, host), 5, len(host),
+                                     len(host))[2] for p in pats}
     got = {p: _pattern_window_stats(b, 5, len(host), len(host))[2]
            for p, b in zip(pats, blocks)}
     assert got == want

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from wordlab.words_core import (
     WindowCensus,
+    _pattern_window_stats,
     count_occurrences,
     min_period,
     occurrence_positions,
-    sliding_containment_scan,
 )
 
 words01 = st.text(alphabet="01", min_size=0, max_size=40)
@@ -24,7 +24,7 @@ def factor_set(hosts, n):
 
 
 def naive_containment(host, K, patterns):
-    """Slow direct rescan of every window; oracle for sliding_containment_scan."""
+    """Slow direct rescan of every window; oracle for _pattern_window_stats."""
     for i in range(len(host) - K + 1):
         w = host[i:i + K]
         for p in sorted(set(patterns)):
@@ -362,41 +362,37 @@ def test_window_census_numpy_path_with_separator():
         assert c.count(n) == brute[n]
 
 
-def test_sliding_containment_scan_vs_naive():
+def _window_stats(host, K, p):
+    return _pattern_window_stats(occurrence_positions(p, host), len(p), len(host), K)
+
+
+def test_pattern_window_stats_vs_naive():
+    # the first failing window, then the smallest pattern missing from it
     rng = random.Random(8)
     for _ in range(200):
         host = "".join(rng.choice("01") for _ in range(rng.randint(3, 40)))
         K = rng.randint(1, len(host))
-        pats = list(set("".join(rng.choice("01") for _ in range(rng.randint(1, K)))
-                        for _ in range(3)))
-        r = sliding_containment_scan(host, K, pats)
+        pats = sorted(set("".join(rng.choice("01") for _ in range(rng.randint(1, K)))
+                          for _ in range(3)))
+        fails = [(fail, p) for p in pats
+                 for ok, fail, _ in [_window_stats(host, K, p)] if not ok]
         ok, fail, pat = naive_containment(host, K, pats)
-        assert r.ok == ok
+        assert ok == (not fails)
         if not ok:
-            assert (r.failing_window, r.missing_pattern) == (fail, pat)
+            assert min(fails) == (fail, pat)
 
 
-def test_sliding_containment_min_lengths_are_minimal():
+def test_pattern_window_min_lengths_are_minimal():
     rng = random.Random(11)
     for _ in range(100):
         host = "".join(rng.choice("01") for _ in range(rng.randint(5, 40)))
         p = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
         if p not in host:
             continue
-        r = sliding_containment_scan(host, len(host), [p])
-        mk = r.min_window_lengths[p]
+        mk = _window_stats(host, len(host), p)[2]
         assert naive_containment(host, mk, [p])[0]
         if mk > len(p) and mk - 1 >= len(p):
             assert not naive_containment(host, mk - 1, [p])[0]
-
-
-def test_scan_input_validation():
-    with pytest.raises(ValueError):
-        sliding_containment_scan("abc", 5, ["a"])
-    with pytest.raises(ValueError):
-        sliding_containment_scan("abc", 2, ["abc"])
-    with pytest.raises(ValueError):
-        sliding_containment_scan("abc", 2, [""])
 
 
 def test_occurrence_positions():
