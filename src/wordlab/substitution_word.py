@@ -131,17 +131,60 @@ def choose_n_sequence(params, J=None):
     return ns, Ns[1:], j1
 
 
+class _Masters:
+    """levels.alpha or levels.beta: word k of one side, read through the
+    levels, so that swapping the two attributes swaps the words read."""
+
+    def __init__(self, levels, side):
+        self._levels, self._side = levels, side
+
+    def __getitem__(self, k):
+        return self._levels._word(k, self._side)
+
+
 @dataclass
 class SubstLevels:
+    """n_j, N_k and Ntilde_k for k = 0..K, and the master words alpha[k],
+    beta[k] read from the recursion: a level below K is built from the level
+    under it on first read and kept; level K, at least 80 % of the master
+    bytes since N_K >= 6 N_{K-1}, is built on every read, one word at a
+    time, and never kept.  Junction windows, membership queries and the
+    complexity census read level k - 1 only."""
     params: SubstParams
     n: list                      # n[j] for j = 1..K (index 0 unused)
     N: list                      # N[k] for k = 0..K, N[0] = 1
     Nt: list                     # Nt[k] = Ntilde_k for k = 1..K (index 0 is 0)
-    alpha: list                  # alpha[k], k = 0..K
-    beta: list
     K: int
     j1: int = None
+    alpha: _Masters = field(init=False, repr=False)
+    beta: _Masters = field(init=False, repr=False)
+    _kept: dict = field(default_factory=dict, repr=False)
     _census: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.alpha, self.beta = _Masters(self, 0), _Masters(self, 1)
+
+    def _word(self, k, side):
+        """alpha_k (side 0) or beta_k (side 1)."""
+        if not 0 <= k <= self.K:
+            raise IndexError("level %d not built" % k)
+        if k == self.K:
+            return self._build(k, side)
+        pair = self._kept.get(k)
+        if pair is None:
+            pair = self._kept[k] = (self._build(k, 0), self._build(k, 1))
+        return pair[side]
+
+    def _build(self, k, side):
+        if k == 0:
+            return "ab"[side]
+        check_budget(self.N[k], self.params.max_bytes,
+                     "a level %d master word needs" % k)
+        x, y = self._word(k - 1, side), self._word(k - 1, 1 - side)
+        word = (x + x + y) * self.n[k]
+        if len(word) != self.N[k]:
+            raise AssertionError("alpha_%d or beta_%d is not N_%d long" % (k, k, k))
+        return word
 
     def AB(self, k):
         return self.alpha[k] + self.beta[k]
@@ -159,10 +202,15 @@ class SubstLevels:
         all inside alpha_k[-r:]; a window inside beta_k likewise lies in
         beta_k[:r]; a window across the junction lies in
         alpha_k[-(n-1):] beta_k[:n-1].  The same holds for BA_k, and each
-        junction window is itself a factor of its master.
+        junction window is itself a factor of its master.  The r letters at
+        either end of a master are those of ceil(r / P) periods, so the
+        windows are built from level k - 1 and alpha_k, beta_k never are.
         """
-        r = min(3 * self.N[k - 1] + n - 1, self.N[k])
-        a, b = self.alpha[k], self.beta[k]
+        P = 3 * self.N[k - 1]
+        r = min(P + n - 1, self.N[k])
+        x, y = self.alpha[k - 1], self.beta[k - 1]
+        q = -(-r // P)
+        a, b = (x + x + y) * q, (y + y + x) * q
         return a[-r:] + b[:r], b[-r:] + a[:r]
 
     def min_level_for(self, n):
@@ -205,26 +253,18 @@ class SubstLevels:
 
 
 def build_substitution_levels(params, K=None):
+    """n_j, N_k, Ntilde_k and j_1 with their closed forms checked; no master
+    word is built here (see SubstLevels)."""
     ns, Ns, j1 = choose_n_sequence(params, J=K)
     n = [0] + list(ns)
     K = len(ns)
     N = [1] + list(Ns)
     Nt = [0] + [N[k] - 3 * N[k - 1] for k in range(1, K + 1)]
-    alpha = ["a"]
-    beta = ["b"]
-    for j in range(1, K + 1):
-        a, b = alpha[-1], beta[-1]
-        alpha.append((a + a + b) * n[j])
-        beta.append((b + b + a) * n[j])
-    levels = SubstLevels(params=params, n=n, N=N, Nt=Nt,
-                         alpha=alpha, beta=beta, K=K, j1=j1)
-    for k in range(K + 1):
-        if not len(levels.alpha[k]) == N[k] == len(levels.beta[k]):
-            raise AssertionError("alpha_%d or beta_%d is not N_%d long" % (k, k, k))
-        if k >= 1 and not (Nt[k] == 3 * (n[k] - 1) * N[k - 1]
-                           and N[k] <= 2 * Nt[k] <= 2 * N[k]):
+    for k in range(1, K + 1):
+        if not (Nt[k] == 3 * (n[k] - 1) * N[k - 1]
+                and N[k] <= 2 * Nt[k] <= 2 * N[k]):
             raise AssertionError("Ntilde_%d is off its closed form" % k)
-    return levels
+    return SubstLevels(params=params, n=n, N=N, Nt=Nt, K=K, j1=j1)
 
 
 def subst_factor_set(levels, n):

@@ -167,9 +167,9 @@ def _pattern_window_stats(pos, L, host_len, K):
 # int32 sa (14); the lcp pass the uint32 codes, sa and int32 lcp (14); vlen
 # with separators sa, lcp, vlen and the bool separator flags in place of the
 # boundary flags (14), plus 4 bytes a separator.  A round that cannot pack
-# two ranks also fills sa with the positions by rank_k(i+s) (18), so a host
-# whose ranks may take more than half the key bits above the position is
-# charged 4 bytes a char more.  The chunked temporaries take under 80 bytes
+# two ranks also fills sa with the positions by rank_k(i+s) (18), so the
+# first such round checks the budget again, 4 bytes a char more, before it
+# allocates sa.  The chunked temporaries take under 80 bytes
 # a chunk entry: under 2 bytes a host position, or 80 KiB at the least
 # chunk; the lcp pass's runs of chunks hold at most a chunk's length of rank
 # changes
@@ -270,13 +270,13 @@ class WindowCensus:
         pb = (L - 1).bit_length()           # bits of a position
         mask = (1 << pb) - 1
         free = 63 - pb                      # key bits above the position
-        # the per-char peak, 4 more when a round may not fit two ranks, the
-        # separators' positions, the padding past the end (cap int32 ranks
-        # and uint32 codes) and the slack for the least chunk
-        per_char = _CENSUS_BYTES_PER_CHAR + (4 if 2 * L.bit_length() > free else 0)
-        n_sep = sum(host.count(c) for c in set(separators))
-        check_budget(per_char * L + 4 * n_sep + 8 * (cap + 1) + _CENSUS_SLACK,
-                     max_bytes, "census of %d chars at cap %d needs about" % (L, cap))
+        # the per-char peak, the separators' positions, the padding past the
+        # end (cap int32 ranks and uint32 codes) and the slack for the least
+        # chunk; a fallback round charges its 4 bytes a char when it runs
+        extra = 4 * sum(host.count(c) for c in set(separators)) \
+            + 8 * (cap + 1) + _CENSUS_SLACK
+        what = "census of %d chars at cap %d needs about" % (L, cap)
+        check_budget(_CENSUS_BYTES_PER_CHAR * L + extra, max_bytes, what)
         if L + cap >= 2**31:
             raise ValueError("census of %d chars at cap %d: positions past "
                              "int32" % (L, cap))
@@ -340,7 +340,10 @@ class WindowCensus:
                 # in sa listing the positions by rank_k(i + s): i + s past
                 # the end first, then the sorted order shifted by s
                 s = min(k, cap - k)
-                sa = np.empty(L, dtype=np.int32) if sa is None else sa
+                if sa is None:
+                    check_budget((_CENSUS_BYTES_PER_CHAR + 4) * L + extra,
+                                 max_bytes, "fallback round of the " + what)
+                    sa = np.empty(L, dtype=np.int32)
                 top = min(s, L)
                 sa[:top] = np.arange(L - top, L, dtype=np.int32)
                 for lo, hi in _spans(L):

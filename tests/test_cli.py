@@ -192,12 +192,18 @@ def test_subst_refuses_what_it_cannot_check(capsys, argv, message):
 
 def test_census_budget_exits_2(capsys):
     # Rec(108) takes a cap-108 census of each 3,359,232-char level-4 master,
-    # estimated at 20 bytes a char, as a host past 2^21 chars whose rounds
-    # may not fit two ranks: about 67.3 MB > 64 MiB
-    code, out, err = run(capsys, "subst", "--gamma", "2", "recurrence",
-                         "--n", "108", "--max-bytes", "67108864")
+    # estimated at 16 bytes a char: about 53.9 MB > 48 MiB.  The CLI takes no
+    # budget under 64 MiB, so the library is called at 48 MiB
+    import wordlab.substitution_word as sw
+    levels = sw.build_substitution_levels(sw.SubstParams(gamma=2, max_bytes=48 * 2**20))
+    with pytest.raises(ValueError, match="budget: census of 3359232 chars at cap 108"):
+        sw.recurrence_function(levels, 108)
+    # at gamma = 3, Rec(18) takes a cap-18 census of the 20,155,392-char
+    # AB_3: about 322.6 MB > 64 MiB
+    code, out, err = run(capsys, "subst", "--gamma", "3", "recurrence",
+                         "--n", "18", "--max-bytes", "67108864")
     assert code == 2 and out == ""
-    assert "budget: census of 3359232 chars at cap 108" in err
+    assert "budget: census of 20155392 chars at cap 18" in err
 
 
 def test_growth_build_and_check(capsys):
@@ -361,6 +367,25 @@ def test_failed_checks_exit_1_in_densities_and_structure(capsys, monkeypatch):
         "failed_assertion": "level 2 word with 0 at the boundary"}
 
 
+def test_corrupted_n_exits_1_on_the_next_master_read(capsys, monkeypatch):
+    # n_K changed after the build: the level-K masters are built on each
+    # read, and the first read checks their length
+    import wordlab.substitution_word as sw
+
+    real_build = sw.build_substitution_levels
+
+    def corrupted(params, K=None):
+        levels = real_build(params, K)
+        levels.n[levels.K] += 1
+        return levels
+
+    monkeypatch.setattr(sw, "build_substitution_levels", corrupted)
+    code, out, err = run(capsys, "subst", "--gamma", "2", "densities")
+    assert code == 1 and out == ""
+    assert json.loads(err)["witness"] == {
+        "failed_assertion": "alpha_4 or beta_4 is not N_4 long"}
+
+
 def test_moved_verdicts_exit_1_in_identities_and_complexity(capsys, monkeypatch):
     import wordlab.steinberg_algebra as sa
     import wordlab.substitution_word as sw
@@ -398,6 +423,17 @@ def test_ret_bracket_master_length_check_exits_1(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert json.loads(err)["witness"]["failed_assertion"].startswith(
         "master length 2 N_2 = 72 exceeds ceil(K n^gamma) = 40")
+
+
+def test_ret_bracket_gamma1_default_levels_build_no_master(capsys):
+    # without --levels the gamma-1 depth is K = 11; the master-length
+    # estimate reads N only, so no master word is built before it fails
+    (code, out, err), _, peak = _timed_run(capsys, "algebra", "--gamma", "1",
+                                           "ret-bracket", "--n", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["witness"]["failed_assertion"].startswith(
+        "master length 2 N_2 = 72 exceeds ceil(K n^gamma) = 40")
+    assert peak < 64 * 2**20, peak
 
 
 # the flags that take a string, drawn from small values that mean something

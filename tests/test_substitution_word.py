@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordlab.substitution_word import (
     SubstParams,
@@ -108,6 +109,61 @@ def test_level_words(lv):
 def test_budget_rejected():
     with pytest.raises(ValueError):
         build_substitution_levels(SubstParams(gamma=2, max_bytes=100), K=3)
+
+
+def eager_masters(levels):
+    """Oracle: every alpha_k and beta_k, k = 0..K, built in full, level by
+    level, into two lists."""
+    alpha, beta = ["a"], ["b"]
+    for j in range(1, levels.K + 1):
+        a, b = alpha[-1], beta[-1]
+        alpha.append((a + a + b) * levels.n[j])
+        beta.append((b + b + a) * levels.n[j])
+    return alpha, beta
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 4), min_size=2, max_size=4), st.data())
+def test_masters_on_read_agree_with_eager_masters(n_list, data):
+    levels = build_substitution_levels(SubstParams(n_list=n_list))
+    alpha, beta = eager_masters(levels)
+    for k in range(levels.K + 1):
+        assert levels.alpha[k] == alpha[k] and levels.beta[k] == beta[k], k
+    for k in range(1, levels.K + 1):
+        N, ab, ba = levels.N[k], alpha[k] + beta[k], beta[k] + alpha[k]
+        ns = (1, data.draw(st.integers(1, levels.Nt[k])), levels.Nt[k])
+        for n in ns:
+            r = min(3 * levels.N[k - 1] + n - 1, N)
+            assert levels.junction(k, n) == (ab[N - r:N + r], ba[N - r:N + r])
+        # the window sets of a level-4 pair (up to 41,472 letters) are left
+        # out to keep the test fast
+        if k <= 3:
+            for n in ns:
+                assert levels.complexity(n) == len(factor_set([ab, ba], n)), (k, n)
+
+
+def test_deepest_level_is_not_kept(lv):
+    assert lv.AB(lv.K) == lv.alpha[lv.K] + lv.beta[lv.K]
+    assert sorted(lv._kept) == list(range(lv.K))
+
+
+def test_gamma1_default_levels_build_no_master():
+    # the default depth at gamma = 1 is K = 11, whose two masters would take
+    # 725 MB; the build computes the lengths only
+    import tracemalloc
+    tracemalloc.start()
+    levels = build_substitution_levels(SubstParams(gamma=1))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert levels.K == 11 and levels.N[11] == 6**11
+    assert peak < 2**20, peak
+
+
+def test_corrupted_n_raises_on_next_read():
+    levels = build_substitution_levels(SubstParams(gamma=2))
+    levels.n[2] += 1
+    with pytest.raises(AssertionError, match="alpha_2 or beta_2 is not N_2 long"):
+        levels.beta[3]
 
 
 def test_subst_factor_set_budget_checked_before_slicing(monkeypatch):

@@ -271,10 +271,14 @@ def test_window_census_fallback_round():
     # whose ranks take 22 bits, and no two ranks fit beside the position.
     # The round to cap 24 then sorts rank_20(i) << 22 | place, with place
     # from the level-0 order shifted by 4, and holds sa beside the rank
-    # level: the estimate charges such a host 20 bytes a char, not 16
+    # level: that round charges 20 bytes a char, not 16, before it
+    # allocates sa, so a budget that admits 16 refuses it there
     L = 2_200_000
     codes = np.random.default_rng(16).integers(0, 3, L, dtype=np.uint8)
     host = (codes + ord("0")).tobytes().decode("ascii")
+    with pytest.raises(ValueError, match="budget: fallback round of the "
+                                         "census of 2200000 chars at cap 24"):
+        WindowCensus(host, 24, max_bytes=16 * L + 8 * 25 + 2**17)
     built = []
     peak = _traced_peak(lambda: built.append(WindowCensus(host, 24)))
     assert peak < 20 * L + 8 * 25 + 2**17, peak
