@@ -392,20 +392,13 @@ def decompose_factor(levels, v):
             raise AssertionError("occurrence does not straddle the middle")
         inc = _suffix_blocks(v[:h - i], levels)
         dec = _prefix_blocks(v[h - i:], levels)
-    blocks = inc + dec
-    # validation
-    if "".join(w for _, w in blocks) != v:
-        raise AssertionError("blocks do not spell the factor")
+    # the blocks are consecutive slices of v, each checked as it was cut,
+    # and the w-block levels fall with the binary expansion; a 2^m suffix
+    # that is no W(m) word splits into two W(m-1) blocks
     inc_levels = [m for m, _ in inc]
-    dec_levels = [m for m, _ in dec]
     if inc_levels != sorted(set(inc_levels)):
         raise AssertionError("u-block levels are not increasing")
-    if dec_levels != sorted(set(dec_levels), reverse=True):
-        raise AssertionError("w-block levels are not decreasing")
-    for m, w in blocks:
-        if not levels.is_word(m, w):
-            raise AssertionError("block is not a W(%d) member" % m)
-    return {"v": v, "blocks": blocks, "r": len(inc), "s": len(dec),
+    return {"v": v, "blocks": inc + dec, "r": len(inc), "s": len(dec),
             "minimal_level": t}
 
 
@@ -421,45 +414,36 @@ def decompose_factor(levels, v):
 # junction string at a level k < K is a factor of W(K).
 
 
-def _junctions(levels, ks, r):
-    """Sorted distinct junction strings s_r(w) p_r(c), w in W(k), c in C(k),
-    over the levels k in ks.  They are the product of the distinct suffixes
-    and prefixes, so the byte budget is checked on that product before any
-    string is built.  r is taken >= 1: w[-0:] would be all of w, and at
-    r = 1 the length-1 windows are still letters of W(k+1) words."""
-    r = max(r, 1)
-    parts = [({w[-r:] for w in levels.W(k)}, {c[:r] for c in levels.levels[k].C})
-             for k in ks]
-    pairs = sum(len(sufs) * len(pres) for sufs, pres in parts)
-    check_budget(pairs * (2 * r + _SET_MEMBER_BYTES), levels.params.max_bytes,
-                 "up to %d junction strings of %d letters need about" % (pairs, 2 * r))
-    return sorted({s + p for sufs, pres in parts for s in sufs for p in pres})
+def _split_products(levels, j, n, seen):
+    """Add to seen the length-n windows across the junction of
+    W(j+1) = W(j) C(j): the products {s_i(w) : w in W(j)} . {p_{n-i}(c) :
+    c in C(j)} over the splits 1 <= i <= 2^j with 1 <= n-i <= 2^j, since
+    W(j+1) pairs every w with every c.  The byte budget is checked before
+    each product is added."""
+    W, C = levels.W(j), levels.levels[j].C
+    for i in range(max(1, n - 2 ** j), min(2 ** j, n - 1) + 1):
+        sufs, pres = {w[-i:] for w in W}, {c[:n - i] for c in C}
+        need = len(seen) + len(sufs) * len(pres)
+        check_budget(need * (n + _SET_MEMBER_BYTES), levels.params.max_bytes,
+                     "up to %d factors of %d letters need about" % (need, n))
+        seen.update(s + p for s in sufs for p in pres)
+    return seen
 
 
 def _factor_counts(levels, n):
     """(count at depth K-1, count at depth K) of the distinct length-n
     factors of the W(K-1) and the W(K) words, K the deepest level.  For
-    n >= 2, by the covering argument, they are the union over the levels
-    j below the depth and the splits 1 <= i <= 2^j with 1 <= n-i <= 2^j of the
-    products {s_i(w) : w in W(j)} . {p_{n-i}(c) : c in C(j)}, since W(j+1)
-    pairs every w with every c.  The depth K-1 count is the size of that
-    union before level K-1 is added.  The byte budget is checked before each
-    product is added."""
+    n >= 2, by the covering argument, they are the union of the split
+    products of the levels j below the depth.  The depth K-1 count is the
+    size of that union before level K-1 is added."""
     K = levels.deepest
     if n == 1:
         return len(levels.alphabet), len(levels.alphabet)
     seen = set()
-    for j in range(K):
-        if j == K - 1:
-            prev = len(seen)
-        W, C = levels.W(j), levels.levels[j].C
-        for i in range(max(1, n - 2 ** j), min(2 ** j, n - 1) + 1):
-            sufs, pres = {w[-i:] for w in W}, {c[:n - i] for c in C}
-            need = len(seen) + len(sufs) * len(pres)
-            check_budget(need * (n + _SET_MEMBER_BYTES), levels.params.max_bytes,
-                         "up to %d factors of %d letters need about" % (need, n))
-            seen.update(s + p for s in sufs for p in pres)
-    return prev, len(seen)
+    for j in range(K - 1):
+        _split_products(levels, j, n, seen)
+    prev = len(seen)
+    return prev, len(_split_products(levels, K - 1, n, seen))
 
 
 def verify_sandwich(levels, k_max=None):
@@ -493,28 +477,17 @@ def verify_sandwich(levels, k_max=None):
 
 def _window_extremes(levels, u, n):
     """(min, max) of Phi_u over the length-2^n windows of the W(n+3) words.
-    Such a word is eight W(n) blocks, and a window is a block or crosses
-    exactly one block boundary, a junction at level n, n+1 or n+2, so it
-    lies in the junction string there (r = 2^n - 1); by the covering
-    argument every such window is in turn a window of a W(n+3) word.  The
-    blocks and the junction strings are scanned as two arrays of rows."""
-    N, d = 2 ** n, len(u)
-    pat = np.frombuffer(u.encode("latin1"), dtype=np.uint8)
-    lo, hi = [], []
-    for rows in (levels.W(n), _junctions(levels, range(n, n + 3), N - 1)):
-        arr = np.frombuffer("".join(rows).encode("latin1"), dtype=np.uint8)
-        arr = arr.reshape(len(rows), -1)
-        L = arr.shape[1]
-        hits = np.ones((len(rows), L - d + 1), dtype=bool)
-        for j in range(d):
-            hits &= arr[:, j:L - d + 1 + j] == pat[j]
-        cs = np.zeros((len(rows), L - d + 2), dtype=np.int32)
-        np.cumsum(hits, axis=1, out=cs[:, 1:])
-        # occurrences fully inside [i, i+N): starts in [i, i+N-d]
-        counts = cs[:, N - d + 1:] - cs[:, :L - N + 1]
-        lo.append(int(counts.min()))
-        hi.append(int(counts.max()))
-    return min(lo), max(hi)
+    By the covering argument such a window is a letter (n = 0) or a window
+    across a junction at some level j < n+3, so it lies in the split
+    products of levels n-1..n+2 (none below n-1 has a split of 2^n)."""
+    if n == 0:
+        windows = levels.alphabet
+    else:
+        windows = set()
+        for j in range(n - 1, n + 3):
+            _split_products(levels, j, 2 ** n, windows)
+    counts = [count_occurrences(u, x) for x in windows]
+    return min(counts), max(counts)
 
 
 def verify_frequency_deviation(levels, u, n):

@@ -19,8 +19,6 @@
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .words_core import WindowCensus, _words_bytes, max_bytes_budget
 
 # certified rational lower bound for alpha = log 4 / log 3: 3^29 < 4^23
@@ -304,34 +302,27 @@ def spike_parameters(oracle, l):
     return t, s, n, (n + 1, n + 3 * t)
 
 
-def _decodes_as_xi(e, wordset, n, t):
-    """Is e = 0^i u 0^n v 0^(t-i) with u, v in wordset and 0 <= i <= t?
-
-    The words start with a nonzero letter, so i is the number of leading
-    zeros and the decoding is unique."""
-    i = len(e) - len(e.lstrip("0"))
-    return (i <= t and e[i:i + t] in wordset
-            and e[i + t:i + t + n] == "0" * n
-            and e[i + t + n:i + 2 * t + n] in wordset
-            and e[i + 2 * t + n:] == "0" * (t - i))
-
-
 def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     """The two-sided estimate at checkpoint l and the derivative spike.
 
     Certifies t s^2 + p(n) <= p(n+3t) <= 11 t s^2 (11 is the proof constant)
-    by (a) an exact window census and (b) the two explicit witness families:
+    by (a) an exact window census and (b) two disjoint explicit witness
+    families:
       A: one extension u_a a v_a (|u_a| = t, |v_a| = 2t) per factor a of
-         length n, taken at its first interior occurrence in the search host
-         (re-chosen to avoid the xi shape when a != 0^n);
+         length n, taken at its last occurrence in the search host with
+         room for the extension on both sides;
       B: xi_{u,v,i} = 0^i u 0^n v 0^{t-i} for u, v in X_{k_l+r}, 0 <= i <= t.
-    Both checks are exact.  A's extensions are distinct strings read from
-    the census blocks.  B is never built: each xi decodes uniquely (i is
-    the number of leading zeros), so |B| = (t+1) s^2.  B lies in L_w
+    Both checks are exact.  A's extensions are distinct, since each holds
+    its own factor at offset t.  B is never built: each xi decodes uniquely
+    (i is the number of leading zeros), so |B| = (t+1) s^2.  B lies in L_w
     because X_{k_{l+1}+1} takes all pairs of X_{k_{l+1}} words, checked as
     its squaring phase and, for each u in X_{k_l+r}, an X_{k_{l+1}} word
-    ending in 0^t u and one starting with u 0^t.  The families overlap in
-    exactly the extension of 0^n.  Failed checks raise AssertionError.
+    ending in 0^t u and one starting with u 0^t.  The search host ends with
+    the padded X_{k_{l+1}} words 0^{3n-1} a 0^{3n-1}, which hold every
+    length-n factor, so each extension holds the letters of one X_{k_{l+1}}
+    word at most.  Stripped of its outer zeros it then holds no 0^n, while
+    every xi, stripped to u 0^n v, does: that one check makes A and B
+    disjoint.  Failed checks raise AssertionError.
     Returns the report with the spike position m.
     """
     r = oracle.params.r
@@ -372,49 +363,24 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     fam_b = (t + 1) * s * s
 
     # --- family A ------------------------------------------------------
-    # one extension per length-n factor, at the least occurrence in its
-    # census block (unsorted) with room for the extension on both sides.
-    # The extensions are ours to choose: whenever the extension of some
-    # a != 0^n takes the xi shape, re-choose another occurrence whose
-    # extension leaves family B (one always exists: an occurrence whose
-    # following 0-run is longer than n cannot look like any xi).  Only then
-    # is the block sorted, and scanned from the last one back: the search
-    # host ends with its padded words, whose 0-runs are longer than n
+    # the last margined occurrence lies in the padded words that end the
+    # host, so its extension holds no 0^n between two nonzero letters
     blocks = census.blocks(n)
     if len(blocks) != p[n]:
         raise AssertionError("n-block count %d != p(n)=%d" % (len(blocks), p[n]))
-    p0 = host.find("0" * n)
-    fam_a = []
-    rechosen = 0
     for pos in blocks:
         cand = pos[(pos >= t) & (pos <= L - (n + 2 * t))]
         if len(cand) == 0:
             raise AssertionError("the length-%d factor %r has no margined occurrence"
                                  % (n, host[pos[0]:pos[0] + n]))
-        q = int(cand.min())
+        q = int(cand.max())
         e = host[q - t:q + n + 2 * t]
-        if q != p0 and _decodes_as_xi(e, wordset, n, t):
-            for q in np.sort(cand)[1:].tolist()[::-1]:
-                e = host[q - t:q + n + 2 * t]
-                if not _decodes_as_xi(e, wordset, n, t):
-                    break
-            else:
-                raise AssertionError("no extension outside family B for the "
-                                     "length-%d factor %r" % (n, e[t:t + n]))
-            rechosen += 1
-        fam_a.append(e)
+        if "0" * n in e.strip("0"):
+            raise AssertionError("family A meets family B: the extension %r "
+                                 "holds 0^%d between nonzero letters" % (e, n))
+    fam_a = len(blocks)
 
-    # --- overlap -------------------------------------------------------
-    if len(set(fam_a)) != p[n]:
-        raise AssertionError("family A extensions are not injective")
-    # the overlap is the extension of 0^n: its first occurrence sits right
-    # after the first X_{d_host - 1} word of the host
-    overlap = [e for e in fam_a if _decodes_as_xi(e, wordset, n, t)]
-    if overlap != [host[p0 - t:p0 + n + 2 * t]]:
-        raise AssertionError("family overlap is not the extension of 0^n: %d words"
-                             % len(overlap))
-
-    union = len(fam_a) + fam_b - len(overlap)
+    union = fam_a + fam_b
     lower_ok = p[whi] >= ts2 + p[n]
     lower_fam_ok = union >= ts2 + p[n]
     upper_ok = p[whi] <= 11 * ts2
@@ -440,14 +406,13 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
         "r": r, "l": l, "t": t, "s": s,
         "window": [wlo, whi],
         "p_n": p[n], "p_n3t": p[whi], "ts2": ts2,
-        "family_a": len(fam_a), "family_b": fam_b, "overlap": len(overlap),
+        "family_a": fam_a, "family_b": fam_b, "overlap": 0,
         "lower_ok": bool(lower_ok), "lower_family_ok": bool(lower_fam_ok),
         "upper_11ts2_ok": bool(upper_ok), "upper_constant": "11 (proof constant)",
         "m": best_m, "p_m": p[best_m], "dp_m": best_dp,
         "spike_ok": bool(3 * best_dp >= s * s),
         "epsilon": str(eps), "lhs": best_dp, "rhs_note": "p(m)/m^epsilon",
         "epsilon_ok": bool(eps_ok),
-        "extensions_rechosen": rechosen,
         "pass": bool(lower_ok and lower_fam_ok and upper_ok
                      and 3 * best_dp >= s * s and eps_ok),
     }

@@ -22,7 +22,6 @@ from wordlab.ergodic_subshift import (
     _count_extremes,
     _factor_counts,
     _interval,
-    _junctions,
     _window_extremes,
     _prefix_blocks,
     _suffix_blocks,
@@ -274,11 +273,32 @@ def test_decompose_random_windows(levels):
         assert got == w[i:j]
 
 
+def test_decompose_refuses_a_split_suffix_block(levels, monkeypatch):
+    # were the 2^2 suffix block aaaa of aaaaa no W(2) word, it would split
+    # into the two W(1) blocks aa, aa, whose levels do not increase
+    assert decompose_factor(levels, "aaaaa")["blocks"] == [(2, "aaaa"), (0, "a")]
+    real = type(levels).is_word
+    monkeypatch.setattr(type(levels), "is_word",
+                        lambda self, m, u: u != "aaaa" and real(self, m, u))
+    with pytest.raises(AssertionError, match="^u-block levels are not increasing$"):
+        decompose_factor(levels, "aaaaa")
+
+
 def test_decompose_not_a_factor(levels):
     with pytest.raises(ValueError):
         decompose_factor(levels, "zz")
     with pytest.raises(ValueError):
         decompose_factor(levels, "")
+
+
+def _junctions(levels, ks, r):
+    """Sorted distinct junction strings s_r(w) p_r(c), w in W(k), c in C(k),
+    over the levels k in ks.  r is taken >= 1: w[-0:] would be all of w, and
+    at r = 1 the length-1 windows are still letters of W(k+1) words."""
+    r = max(r, 1)
+    parts = [({w[-r:] for w in levels.W(k)}, {c[:r] for c in levels.levels[k].C})
+             for k in ks]
+    return sorted({s + p for sufs, pres in parts for s in sufs for p in pres})
 
 
 def _census_counts(levels, depth, cap):
@@ -348,11 +368,12 @@ def test_sandwich_top_row_refused_by_budget(params):
 
 
 def test_junction_strings_checked_against_budget(params):
-    # the frequency deviation at n = 5 joins up to 288 junction strings of
-    # 62 letters, about 50 KB as set members
+    # the frequency deviation at n = 5 reads the length-32 windows of the
+    # split products of levels 4..7; the first products hold up to 80 of
+    # them, about 12 KB as set members
     lv = build_ergodic_levels(ErgodicParams(f=params.f, max_level=8))
     lv.params.max_bytes = 10 ** 4
-    with pytest.raises(ValueError, match="^budget: up to 288 junction strings"):
+    with pytest.raises(ValueError, match="^budget: up to 80 factors of 32 letters"):
         verify_frequency_deviation(lv, "ab", 5)
 
 
@@ -447,6 +468,27 @@ def test_factor_counts_match_set_of_windows_on_drawn_tables(f, K, policy, seed):
     deep, prev = _set_counts(lv.W(K), cap), _set_counts(lv.W(K - 1), cap)
     for n in range(1, cap + 1):
         assert _factor_counts(lv, n) == (prev[n - 1], deep[n - 1]), n
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(f=_growth_tables(), K=st.integers(3, 6),
+       policy=st.sampled_from(["lexicographic", "seeded-random"]),
+       seed=st.integers(0, 3), data=st.data())
+def test_window_extremes_match_per_word_scan_on_drawn_tables(f, K, policy, seed,
+                                                             data):
+    # u is a letter or a window of a W(n+3) word, so its counts are not all 0
+    try:
+        lv = build_ergodic_levels(ErgodicParams(f=f, max_level=K,
+                                                choice_policy=policy, seed=seed))
+    except ValueError:
+        assume(False)           # not submultiplicative, or no c_k = 1 by K
+    n = data.draw(st.integers(0, K - 3))
+    words = lv.W(n + 3)
+    w = words[data.draw(st.integers(0, len(words) - 1))]
+    d = data.draw(st.integers(1, 2 ** n))
+    i = data.draw(st.integers(0, len(w) - d))
+    for u in (w[i:i + d], lv.alphabet[-1]):
+        assert _window_extremes(lv, u, n) == _per_word_extremes(words, u, 2 ** n), u
 
 
 def test_window_extremes_match_per_word_scan(family):

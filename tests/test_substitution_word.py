@@ -1,9 +1,10 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wordlab.substitution_word import (
     SubstParams,
@@ -332,6 +333,57 @@ def test_recurrence_matches_binary_search_over_rescans(lv):
                                     "window_length": lo - 1,
                                     "failing_window": fail,
                                     "missing_pattern": p}, n
+
+
+def sliding_containment(host, K, pats):
+    """Oracle: (ok, first failing window, smallest missing pattern) for the
+    length-K windows of host, rescanned by one window sliding a letter at a
+    time over the counts of the length-n windows inside it."""
+    n = len(pats[0])
+    inside = Counter(host[j:j + n] for j in range(K - n + 1))
+    for i in range(len(host) - K + 1):
+        if i:
+            out = host[i - 1:i - 1 + n]
+            inside[out] -= 1
+            if not inside[out]:
+                del inside[out]
+            inside[host[i + K - n:i + K]] += 1
+        if len(inside) < len(pats):
+            return False, i, min(set(pats).difference(inside))
+    return True, None, None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 4), min_size=2, max_size=4), st.data())
+def test_recurrence_matches_rescans_on_drawn_n_lists(n_list, data):
+    # n <= Ntilde_2 wherever the levels reach the 7 N_k bound; the binary
+    # search over rescans of both level-m masters, as above
+    lv = build_substitution_levels(SubstParams(n_list=n_list))
+    ns = [n for n in range(1, lv.Nt[2] + 1)
+          if 7 * lv.N[lv.min_level_for(n)] <= lv.Nt[lv.K]]
+    assume(ns)
+    n = data.draw(st.sampled_from(ns))
+    r = recurrence_function(lv, n)
+    k, m = lv.min_level_for(n), r["host_level"]
+    pats = sorted(factor_set([lv.AB(k), lv.BA(k)], n))
+    hosts = [("AB", lv.AB(m)), ("BA", lv.BA(m))]
+    assert all(factor_set([h], n) == set(pats) for _, h in hosts)
+    lo, hi = n, r["upper_bound_7Nk"]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if all(sliding_containment(h, mid, pats)[0] for _, h in hosts):
+            hi = mid
+        else:
+            lo = mid + 1
+    assert r["rec"] == lo, (n_list, n)
+    if lo - 1 >= n:
+        name, fail, p = next((name, fail, p) for name, h in hosts
+                             for ok, fail, p in [sliding_containment(h, lo - 1, pats)]
+                             if not ok)
+        assert r["certificate"] == {"host": name, "host_level": m,
+                                    "window_length": lo - 1,
+                                    "failing_window": fail,
+                                    "missing_pattern": p}, (n_list, n)
 
 
 # a complexity one too high makes the masters look incomplete: the count

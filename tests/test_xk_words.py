@@ -6,7 +6,6 @@ import pytest
 
 from wordlab.xk_words import (
     XkOracle,
-    _decodes_as_xi,
     XkParams,
     build_xk_levels,
     checkpoints,
@@ -30,6 +29,17 @@ def zero_joined_host(oracle, d):
     lv = oracle.level(d)
     zeros = "0" * lv.n
     return zeros.join(lv.words) + zeros + lv.words[0]
+
+
+def _decodes_as_xi(e, wordset, n, t):
+    """Oracle: is e = 0^i u 0^n v 0^(t-i) with u, v in wordset and
+    0 <= i <= t?  The words start with a nonzero letter, so i is the number
+    of leading zeros and the decoding is unique."""
+    i = len(e) - len(e.lstrip("0"))
+    return (i <= t and e[i:i + t] in wordset
+            and e[i + t:i + t + n] == "0" * n
+            and e[i + t + n:i + 2 * t + n] in wordset
+            and e[i + 2 * t + n:] == "0" * (t - i))
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +263,23 @@ def test_one_census_per_host_level(oracle6):
     assert small.census(9) is not first and small.census(5) is small.census(9)
 
 
+def test_spike_family_a_read_from_padded_tail(oracle6):
+    # at l = 1 the last margined occurrence of every length-81 factor, and
+    # its whole extension, lie in the padded X_5 words 0^242 a 0^242 that
+    # end the level-6 host; no extension there decodes as a xi word
+    t, _, n, (_, whi) = spike_parameters(oracle6, 1)
+    census = oracle6.census(whi)
+    host = census.host
+    tail = len(host) - 256 * (2 * 242 + 81)
+    assert host[tail:tail + 242] == "0" * 242
+    last = [int(pos[(pos >= t) & (pos <= len(host) - (n + 2 * t))].max())
+            for pos in census.blocks(n)]
+    assert len(last) == 29193 and min(last) - t >= tail
+    words = set(oracle6.level(4).words)
+    assert not any(_decodes_as_xi(host[q - t:q + n + 2 * t], words, n, t)
+                   for q in last)
+
+
 def test_spike_parameters_second_checkpoint(oracle):
     # k_2 = 5 and k_3 = 17 at r = 2: t = n_7, s = s_7 = 2^32 after the
     # squarings at levels 2-4 and 6-7, n = n_17; a closed form, no level 17
@@ -278,11 +305,31 @@ sys.exit(cli.parse_and_dispatch(%r))
 """
 
 
-def _corrupted_run(run_python_O, patch, argv):
-    proc = run_python_O(_CORRUPTED_LEVELS % (patch, argv))
+# the level-6 search host without the padded X_5 words that end it
+_TAILLESS_HOST = """
+import sys
+from wordlab import cli, xk_words as xk
+
+real = xk.XkOracle.search_host
+
+def tailless(self, d):
+    host = real(self, d)
+    return host[:len(host) - 256 * (2 * 242 + 81)] if d == 6 else host
+
+xk.XkOracle.search_host = tailless
+sys.exit(cli.parse_and_dispatch(%r))
+"""
+
+
+def _failed_assertion(run_python_O, code):
+    proc = run_python_O(code)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     return json.loads(proc.stderr)["witness"]["failed_assertion"]
+
+
+def _corrupted_run(run_python_O, patch, argv):
+    return _failed_assertion(run_python_O, _CORRUPTED_LEVELS % (patch, argv))
 
 
 def test_spike_family_b_fails_under_python_O(run_python_O):
@@ -302,3 +349,12 @@ def test_structure_pushdown_fails_under_python_O(run_python_O):
         "levels[4].words[5] = '1' * 9 + levels[4].words[5][9:]",
         ["xk", "--max-level", "4", "verify-structure"])
     assert msg == "pushdown fails: level 4 prefixes at depth 3"
+
+
+def test_spike_families_disjoint_fails_under_python_O(run_python_O):
+    # without the padded tail the last margined occurrences lie in the de
+    # Bruijn cycle, where an extension can hold a 0^81 b with a, b in X_5,
+    # the shape of u 0^81 v in a xi word
+    msg = _failed_assertion(run_python_O, _TAILLESS_HOST
+                            % ["xk", "--max-level", "6", "verify-spike"])
+    assert msg.startswith("family A meets family B: the extension "), msg
