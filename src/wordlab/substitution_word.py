@@ -280,11 +280,23 @@ def subst_factor_set(levels, n):
 
 
 def densities(levels, k):
-    """Letter frequencies of alpha_k and beta_k; counted and closed-form."""
+    """Letter frequencies of alpha_k and beta_k, checked against the closed
+    form.  The letters are counted through the recursion, from alpha_0 and
+    beta_0: |alpha_{j+1}|_a = n_{j+1} (2 |alpha_j|_a + |beta_j|_a), its
+    mirror for beta, and |alpha_{j+1}| = 3 n_{j+1} |alpha_j| = N_{j+1}; no
+    master word is built."""
     if not (0 <= k <= levels.K):
         raise ValueError("level %d not built" % k)
-    a_in_alpha = Fraction(levels.alpha[k].count("a"), levels.N[k])
-    a_in_beta = Fraction(levels.beta[k].count("a"), levels.N[k])
+    x, y = levels.alpha[0], levels.beta[0]
+    in_alpha, in_beta, length = x.count("a"), y.count("a"), len(x)
+    for j in range(1, k + 1):
+        nj = levels.n[j]
+        in_alpha, in_beta = nj * (2 * in_alpha + in_beta), nj * (2 * in_beta + in_alpha)
+        length *= 3 * nj
+        if length != levels.N[j]:
+            raise AssertionError("alpha_%d or beta_%d is not N_%d long" % (j, j, j))
+    a_in_alpha = Fraction(in_alpha, levels.N[k])
+    a_in_beta = Fraction(in_beta, levels.N[k])
     closed_alpha = Fraction(3**k + 1, 2 * 3**k)
     closed_beta = Fraction(3**k - 1, 2 * 3**k)
     if a_in_alpha != closed_alpha:
@@ -400,7 +412,7 @@ def complexity_rows(levels, lo, hi):
 
 def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
     """Consolidated checks: the every-7N_k containment, aperiodicity,
-    p(n) vs 14n, recurrence bound/exponent diagnostics, and the beta_k^3
+    p(n) vs 14n, the recurrence bracket on samples, and the beta_k^3
     positions for k <= min(k_max, K - 1)."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0, got %d" % k_max)
@@ -444,9 +456,6 @@ def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
             # lower floor Rec_w(n) >= 3^-gamma n^gamma and upper 14 2^gamma n^gamma
             entry["lower_floor_ok"] = (r["rec"] ** q) * (3**p) >= n**p
             entry["upper_14_2g_ok"] = r["rec"] ** q <= (14**q) * (2**p) * (n**p)
-            entry["exponent_diag"] = math.log(r["rec"]) / math.log(n) if n > 1 else None
-            if gamma == 1:
-                entry["exponent_note"] = "uninformative at gamma=1"
         recs[n] = entry
     report["recurrence_samples"] = recs
     report["beta_cubed"] = {k: beta_cubed_positions(levels, k)

@@ -111,9 +111,10 @@ def de_bruijn_pairs(k):
 class XkOracle:
     """Exact language oracle for the limit word w of the construction.
 
-    A query of length n is answered from the search host of the least
-    level d with n <= n_d; lengths beyond n_E (E = deepest explicit
-    level) are out of reach and raise.
+    A query of length n is answered at the least level d with n <= n_d;
+    lengths beyond n_E (E = deepest explicit level) are out of reach and
+    raise.  Each level keeps one window census, at cap n_d: of the padded
+    X_{d-1} words at a squaring level, of the search host otherwise.
     """
 
     def __init__(self, params=None):
@@ -122,6 +123,7 @@ class XkOracle:
         self.E = max(lv.k for lv in self.levels[1:] if lv.explicit)
         self._hosts = {}
         self._census = {}
+        self._sides = {}
 
     def level(self, k):
         if not (1 <= k <= len(self.levels) - 1):
@@ -194,25 +196,60 @@ class XkOracle:
                              "(deepest explicit is %d)" % (n, d, self.E))
         return d
 
-    def census(self, cap):
-        """Window census of the search host of the least level covering cap:
-        one per level, rebuilt only when a larger cap is asked for."""
-        d = self._host_level_for(cap)
+    def padded_host(self, d):
+        """The X_{d-1} words of a squaring level d, each padded on both sides
+        by 0^{n_d - 1}.  Two words are 2 n_d - 2 >= n_d zeros apart, so its
+        windows of length n <= n_d are those of 0^inf a 0^inf, a in X_{d-1}.
+        At d = 6 it is 144,640 chars."""
+        pad = "0" * (self.level(d).n - 1)
+        return "".join(pad + a + pad for a in self.level(d - 1).words)
+
+    def level_census(self, d):
+        """The one window census of level d, at cap n_d: of the padded host
+        at a squaring level, of the search host otherwise."""
         c = self._census.get(d)
-        if c is None or c.cap < cap:
-            c = self._census[d] = WindowCensus(self.search_host(d), cap,
-                                               max_bytes=self.params.max_bytes)
+        if c is None:
+            lv = self.level(d)
+            host = self.padded_host(d) if lv.phase == "squaring" else self.search_host(d)
+            c = self._census[d] = WindowCensus(host, lv.n, max_bytes=self.params.max_bytes)
         return c
 
+    def _side_counts(self, d):
+        """(S, P) at a squaring level d: S[i] and P[i] count the distinct
+        length-i suffixes of 0^inf a and prefixes of b 0^inf, a, b in
+        X_{d-1}, for 1 <= i < 2 n_{d-1}."""
+        sides = self._sides.get(d)
+        if sides is None:
+            words = self.level(d - 1).words
+            span = range(1, 2 * self.level(d - 1).n)
+            sides = self._sides[d] = (
+                [0] + [len({a[-i:] for a in words}) for i in span],
+                [0] + [len({b[:i] for b in words}) for i in span])
+        return sides
+
     def complexity(self, n):
-        """Exact p_w(n)."""
+        """Exact p_w(n), read at the least level that covers n."""
         if n == 0:
             return 1
-        d = self._host_level_for(n)
-        c = self._census.get(d)
-        if c is None or c.cap < n:
-            c = self.census(min(self.level(d).n, max(64, 1 << (n - 1).bit_length())))
-        return c.count(n)
+        return self.level_complexity(self._host_level_for(n), n)
+
+    def level_complexity(self, d, n):
+        """Exact p_w(n) for 1 <= n <= n_d, read at level d.
+
+        At a squaring level d, with m = n_{d-1}, a factor of length n <= n_d
+        either holds no 0^m between two nonzero letters, and is a window of
+        the padded host, or it is x 0^m y: x a suffix of 0^inf a ending in
+        a's last letter, y a prefix of b 0^inf starting with b's first, for
+        any a, b in X_{d-1}, since X_d takes all pairs.  Zero runs inside an
+        X_{d-1} word are shorter than m, so x and y are read back off the
+        factor, and p(n) = p_pad(n) + sum_{i=1}^{n-m-1} S(i) P(n-m-i).
+        """
+        p = self.level_census(d).count(n)
+        if self.level(d).phase == "squaring":
+            S, P = self._side_counts(d)
+            m = self.level(d - 1).n
+            p += sum(S[i] * P[n - m - i] for i in range(1, n - m))
+        return p
 
     def contains(self, u):
         if u == "":
@@ -228,8 +265,8 @@ def xk_complexity_table(oracle, n_lo, n_hi):
     bound fails raises AssertionError."""
     if not (1 <= n_lo <= n_hi):
         raise ValueError("bad range")
-    census = oracle.census(n_hi)
-    p = {n: census.count(n) for n in range(n_lo, n_hi + 1)}
+    d = oracle._host_level_for(n_hi)
+    p = {n: oracle.level_complexity(d, n) for n in range(n_lo, n_hi + 1)}
     dp = {n: p[n] - p[n - 1] for n in range(n_lo + 1, n_hi + 1)}
     r = oracle.params.r
     p_lo, q_lo = _ALPHA_LO
@@ -306,23 +343,24 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     """The two-sided estimate at checkpoint l and the derivative spike.
 
     Certifies t s^2 + p(n) <= p(n+3t) <= 11 t s^2 (11 is the proof constant)
-    by (a) an exact window census and (b) two disjoint explicit witness
-    families:
+    by (a) exact counts p(m) from the product at level k_{l+1} + 1 and
+    (b) two disjoint
+    explicit witness families:
       A: one extension u_a a v_a (|u_a| = t, |v_a| = 2t) per factor a of
-         length n, taken at its last occurrence in the search host with
-         room for the extension on both sides;
+         length n, taken at its last occurrence in the padded X_{k_{l+1}}
+         words 0^{3n-1} a 0^{3n-1} with room for the extension on both
+         sides;
       B: xi_{u,v,i} = 0^i u 0^n v 0^{t-i} for u, v in X_{k_l+r}, 0 <= i <= t.
     Both checks are exact.  A's extensions are distinct, since each holds
     its own factor at offset t.  B is never built: each xi decodes uniquely
     (i is the number of leading zeros), so |B| = (t+1) s^2.  B lies in L_w
     because X_{k_{l+1}+1} takes all pairs of X_{k_{l+1}} words, checked as
     its squaring phase and, for each u in X_{k_l+r}, an X_{k_{l+1}} word
-    ending in 0^t u and one starting with u 0^t.  The search host ends with
-    the padded X_{k_{l+1}} words 0^{3n-1} a 0^{3n-1}, which hold every
-    length-n factor, so each extension holds the letters of one X_{k_{l+1}}
-    word at most.  Stripped of its outer zeros it then holds no 0^n, while
-    every xi, stripped to u 0^n v, does: that one check makes A and B
-    disjoint.  Failed checks raise AssertionError.
+    ending in 0^t u and one starting with u 0^t.  The padded words hold
+    every length-n factor and are 6n - 2 zeros apart, so each extension
+    holds the letters of one X_{k_{l+1}} word at most.  Stripped of its
+    outer zeros it then holds no 0^n, while every xi, stripped to u 0^n v,
+    does: that one check makes A and B disjoint.  Failed checks raise AssertionError.
     Returns the report with the spike position m.
     """
     r = oracle.params.r
@@ -331,11 +369,7 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     d_host = ks[l] + 1                    # the level of n + 3t <= 3n = n_{k_{l+1}+1}
     if d_host > oracle.E:
         raise ValueError("budget: checkpoint l=%d needs level %d explicit" % (l, d_host))
-    census = oracle.census(whi)
-    host = census.host
-    L = len(host)
-
-    p = {m: census.count(m) for m in range(n, whi + 1)}
+    p = {m: oracle.level_complexity(d_host, m) for m in range(n, whi + 1)}
     ts2 = t * s * s
 
     # --- family B ------------------------------------------------------
@@ -363,8 +397,11 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     fam_b = (t + 1) * s * s
 
     # --- family A ------------------------------------------------------
-    # the last margined occurrence lies in the padded words that end the
-    # host, so its extension holds no 0^n between two nonzero letters
+    # read in the padded X_{d_host - 1} words of the census that counted p,
+    # so an extension holds no 0^n between two nonzero letters
+    census = oracle.level_census(d_host)
+    host = census.host
+    L = len(host)
     blocks = census.blocks(n)
     if len(blocks) != p[n]:
         raise AssertionError("n-block count %d != p(n)=%d" % (len(blocks), p[n]))

@@ -148,8 +148,7 @@ def test_criterion_07_spike(xk):
     assert (rep["family_a"], rep["family_b"]) == (rep["p_n"], 28 * 65536)
     assert rep["p_n"] == 29193
     assert rep["p_n3t"] <= 11 * 1769472
-    census = xk.census(162)
-    table = json.dumps([census.count(n) for n in range(1, 163)])
+    table = json.dumps([xk.complexity(n) for n in range(1, 163)])
     assert hashlib.sha256(table.encode()).hexdigest() \
         == "260a4015359d659f24d7e3d314283b5d1d5feebfd7ae0cdf8d4fbb11402fee82"
     assert 82 <= rep["m"] <= 162

@@ -368,8 +368,9 @@ def test_failed_checks_exit_1_in_densities_and_structure(capsys, monkeypatch):
 
 
 def test_corrupted_n_exits_1_on_the_next_master_read(capsys, monkeypatch):
-    # n_K changed after the build: the level-K masters are built on each
-    # read, and the first read checks their length
+    # n_K changed after the build: densities multiplies the lengths out
+    # through the recursion and checks them against N_K, as the first read
+    # of a level-K master does
     import wordlab.substitution_word as sw
 
     real_build = sw.build_substitution_levels
@@ -535,6 +536,13 @@ PINNED_STDOUT = [
     (("ergodic", "decompose", "--word",
       "aaaaaaaaaaaaaaaaabaaaaaaaaaaaaaaaaababaaaaaaaaab"),
      "586adf24122b80b8f8156aa13ed91f3d053f4227c87d460b415ff2f0e6bce655"),
+    # the X_k spike and p(1..243), taken while p(n) was still a census of
+    # the level-6 search host, before it came from the level product
+    (("xk", "--max-level", "6", "verify-spike"),
+     "5feef4a2224664d3dc08ea55215c515f6ff08009b454aa120810bcc18891ba14"),
+    (("xk", "--r", "2", "--max-level", "6", "complexity", "--n", "1..243",
+      "--format", "csv"),
+     "a7d1283f55e70bb89d8f5b621ee719a8a3d291eac5bd584b547ec17f3c684d93"),
 ]
 
 
@@ -544,7 +552,8 @@ PINNED_STDOUT = [
                               "growth-check-n2", "growth-build-nlogn",
                               "recurrence-1-18", "ret-bracket-18",
                               "ergodic-build", "ergodic-build-seeded-random-7",
-                              "ergodic-decompose-level-8"])
+                              "ergodic-decompose-level-8", "xk-verify-spike",
+                              "xk-complexity-243"])
 def test_pinned_stdout_bytes(capsys, argv, digest):
     import hashlib
     code, out, _ = run(capsys, *argv)

@@ -236,6 +236,15 @@ def test_densities(lv):
         assert dk1["phi_a_beta"] == (2 * dk["phi_a_beta"] + dk["phi_a_alpha"]) / 3
 
 
+def test_densities_match_letter_counts_of_the_masters(lv):
+    # oracle: the letters of the masters counted one by one, on the levels
+    # criterion 01 reads
+    for k in range(5):
+        d = densities(lv, k)
+        assert d["phi_a_alpha"] == Fraction(lv.alpha[k].count("a"), lv.N[k]), k
+        assert d["phi_a_beta"] == Fraction(lv.beta[k].count("a"), lv.N[k]), k
+
+
 def test_beta_cubed(lv):
     r0 = beta_cubed_positions(lv, 0)
     assert r0["beta_cubed_in_AB"]["positions"] == [6]
@@ -443,10 +452,14 @@ def test_verify_lemmas_report(lv):
     assert rep["recurrence_samples"][18]["upper_14_2g_ok"]
 
 
-def test_gamma1_labeled_uninformative():
+def test_gamma1_recurrence_samples_hold_no_float():
+    # a verifier's report holds exact values only: the recurrence sample
+    # reports its integer Rec(n) and the two exact bracket comparisons
     lv1 = build_substitution_levels(SubstParams(gamma=1), K=4)
     rep = verify_substitution_lemmas(lv1, k_max=1, rec_samples=(3,), p_max=20)
-    assert rep["recurrence_samples"][3]["exponent_note"] == "uninformative at gamma=1"
+    sample = rep["recurrence_samples"][3]
+    assert sorted(sample) == ["lower_floor_ok", "rec", "upper_14_2g_ok"]
+    assert type(sample["rec"]) is int
 
 
 def test_params_validation():

@@ -4,6 +4,9 @@ from collections import Counter
 
 import pytest
 
+from wordlab import words_core
+from wordlab.cli import parse_and_dispatch
+from wordlab.words_core import WindowCensus
 from wordlab.xk_words import (
     XkOracle,
     XkParams,
@@ -119,11 +122,7 @@ def test_complexity_lower_upper(oracle):
 
 def test_complexity_table_raises_at_first_failing_n(oracle, monkeypatch):
     # p(n) = 10^12 n breaks the growth bound from n = 1 on
-    class Inflated:
-        def count(self, n):
-            return 10**12 * n
-
-    monkeypatch.setattr(oracle, "census", lambda cap: Inflated())
+    monkeypatch.setattr(oracle, "level_complexity", lambda d, n: 10**12 * n)
     with pytest.raises(AssertionError, match=r"^p\(2\) = 2000000000000 exceeds"):
         xk_complexity_table(oracle, 2, 5)
 
@@ -245,36 +244,80 @@ def test_level6_contains_agrees_with_zero_joined_host(oracle6):
 
 
 def test_one_census_per_host_level(oracle6):
-    # caps from the largest down: each level's census is built at its first
-    # (largest) cap, and every smaller cap on that level reads it
+    # lengths from the largest down: each level's census is built once, at
+    # cap n_d, over the padded words at a squaring level and over the search
+    # host otherwise, and every later length on that level reads it
     built = {}
-    for cap in (243, 162, 82, 81, 28, 27, 10, 9, 4, 3, 1):
-        d = oracle6.min_sufficient_level(cap)
-        census = oracle6.census(cap)
-        assert census.host is oracle6.search_host(d), cap
-        assert census.cap >= cap
-        assert built.setdefault(d, census) is census, cap
+    for n in (243, 162, 82, 81, 28, 27, 10, 9, 4, 3, 1):
+        d = oracle6.min_sufficient_level(n)
+        oracle6.complexity(n)
+        census = oracle6.level_census(d)
+        assert built.setdefault(d, census) is census, n
+        assert census.cap == oracle6.level(d).n
+        if oracle6.level(d).phase == "squaring":
+            assert census.host == oracle6.padded_host(d), n
+        else:
+            assert census.host is oracle6.search_host(d), n
     assert sorted(built) == [1, 2, 3, 4, 5, 6]
-    assert oracle6.complexity(200) == built[6].count(200)
-    # a larger cap on a built level replaces its census
-    small = XkOracle(XkParams(r=2, max_level=4))
-    first = small.census(4)
-    assert (first.cap, small.census(9).cap) == (4, 9)
-    assert small.census(9) is not first and small.census(5) is small.census(9)
+    assert [len(built[d].host) for d in (5, 6)] == [41_553, 144_640]
+
+
+def test_level6_product_matches_search_host_census(oracle6):
+    # the one census of the 10,761,715-char level-6 search host: p(n) at
+    # n = 82..243, where the level-6 product answers, agrees with it
+    census = WindowCensus(oracle6.search_host(6), 243)
+    assert [oracle6.complexity(n) for n in range(82, 244)] == \
+        [census.count(n) for n in range(82, 244)]
+    assert oracle6.level_complexity(6, 81) == census.count(81) == 29193
+
+
+_SMALL_ORACLES = {r: XkOracle(XkParams(r=r, max_level=4)) for r in (2, 3)}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_product_matches_search_host_census_at_every_length(r, d):
+    # oracle: the census of the level-d search host, at every n <= n_d
+    oracle = _SMALL_ORACLES[r]
+    lv = oracle.level(d)
+    assert lv.phase == "squaring"
+    census = WindowCensus(oracle.search_host(d), lv.n)
+    expected = [census.count(n) for n in range(1, lv.n + 1)]
+    assert [oracle.level_complexity(d, n) for n in range(1, lv.n + 1)] == expected
+    assert [oracle.complexity(n) for n in range(1, lv.n + 1)] == expected
+
+
+def test_xk_commands_census_no_host_above_padded_level6(monkeypatch):
+    # verify-spike and the complexity table up to n_6 census the padded X_5
+    # words at most, never the 10.76 M-char level-6 search host
+    sizes = []
+    real = WindowCensus.__init__
+
+    def spy(self, host, *args, **kwargs):
+        sizes.append(len(host))
+        real(self, host, *args, **kwargs)
+
+    monkeypatch.setattr(words_core.WindowCensus, "__init__", spy)
+    for argv in (["xk", "--max-level", "6", "verify-spike"],
+                 ["xk", "--max-level", "6", "complexity", "--n", "1..243"]):
+        sizes.clear()
+        assert parse_and_dispatch(argv) == 0
+        assert max(sizes) == 144_640, argv
 
 
 def test_spike_family_a_read_from_padded_tail(oracle6):
     # at l = 1 the last margined occurrence of every length-81 factor, and
-    # its whole extension, lie in the padded X_5 words 0^242 a 0^242 that
-    # end the level-6 host; no extension there decodes as a xi word
-    t, _, n, (_, whi) = spike_parameters(oracle6, 1)
-    census = oracle6.census(whi)
+    # its whole extension, lie in one padded X_5 word 0^242 a 0^242 of the
+    # level-6 census; no extension there decodes as a xi word
+    t, _, n, _ = spike_parameters(oracle6, 1)
+    census = oracle6.level_census(6)
     host = census.host
-    tail = len(host) - 256 * (2 * 242 + 81)
-    assert host[tail:tail + 242] == "0" * 242
+    width = 2 * 242 + 81
+    assert len(host) == 256 * width and host[:242] == "0" * 242
     last = [int(pos[(pos >= t) & (pos <= len(host) - (n + 2 * t))].max())
             for pos in census.blocks(n)]
-    assert len(last) == 29193 and min(last) - t >= tail
+    assert len(last) == 29193
+    assert all((q - t) // width == (q + n + 2 * t - 1) // width for q in last)
     words = set(oracle6.level(4).words)
     assert not any(_decodes_as_xi(host[q - t:q + n + 2 * t], words, n, t)
                    for q in last)
@@ -305,18 +348,20 @@ sys.exit(cli.parse_and_dispatch(%r))
 """
 
 
-# the level-6 search host without the padded X_5 words that end it
-_TAILLESS_HOST = """
+# the padded X_5 words of level 6 with 0^81 between two words, not 0^484
+_CLOSE_PADDED_HOST = """
 import sys
 from wordlab import cli, xk_words as xk
 
-real = xk.XkOracle.search_host
+real = xk.XkOracle.padded_host
 
-def tailless(self, d):
-    host = real(self, d)
-    return host[:len(host) - 256 * (2 * 242 + 81)] if d == 6 else host
+def close(self, d):
+    if d != 6:
+        return real(self, d)
+    pad = "0" * 242
+    return pad + ("0" * 81).join(self.level(5).words) + pad
 
-xk.XkOracle.search_host = tailless
+xk.XkOracle.padded_host = close
 sys.exit(cli.parse_and_dispatch(%r))
 """
 
@@ -352,9 +397,9 @@ def test_structure_pushdown_fails_under_python_O(run_python_O):
 
 
 def test_spike_families_disjoint_fails_under_python_O(run_python_O):
-    # without the padded tail the last margined occurrences lie in the de
-    # Bruijn cycle, where an extension can hold a 0^81 b with a, b in X_5,
-    # the shape of u 0^81 v in a xi word
-    msg = _failed_assertion(run_python_O, _TAILLESS_HOST
+    # with 0^81 between the X_5 words the padded host still holds every
+    # length-81 factor, but an extension can now hold a 0^81 b with a, b in
+    # X_5, the shape of u 0^81 v in a xi word
+    msg = _failed_assertion(run_python_O, _CLOSE_PADDED_HOST
                             % ["xk", "--max-level", "6", "verify-spike"])
     assert msg.startswith("family A meets family B: the extension "), msg
