@@ -94,27 +94,16 @@ def build_xk_levels(params):
     return levels
 
 
-def de_bruijn_pairs(k):
-    """The de Bruijn cycle B(k, 2): k^2 symbols of range(k) in which, read
-    cyclically, every ordered pair occurs exactly once.  It is the
-    Fredricksen-Kessler-Maiorana concatenation of the Lyndon words of length
-    1 and 2 in lexicographic order: i, then i j for each j > i (Ruskey,
-    Combinatorial Generation)."""
-    seq = []
-    for i in range(k):
-        seq.append(i)
-        for j in range(i + 1, k):
-            seq += [i, j]
-    return seq
-
-
 class XkOracle:
     """Exact language oracle for the limit word w of the construction.
 
     A query of length n is answered at the least level d with n <= n_d;
     lengths beyond n_E (E = deepest explicit level) are out of reach and
     raise.  Each level keeps one window census, at cap n_d: of the padded
-    X_{d-1} words at a squaring level, of the search host otherwise.
+    X_{d-1} words at a squaring level, of the search host otherwise.  The
+    padded words answer membership at a squaring level too, through the
+    pair rule of X_d = X_{d-1} 0^{n_{d-1}} X_{d-1}, so `contains` builds
+    no squaring level's search host.
     """
 
     def __init__(self, params=None):
@@ -122,6 +111,7 @@ class XkOracle:
         self.levels = build_xk_levels(self.params)
         self.E = max(lv.k for lv in self.levels[1:] if lv.explicit)
         self._hosts = {}
+        self._padded = {}
         self._census = {}
         self._sides = {}
 
@@ -138,55 +128,21 @@ class XkOracle:
         return d
 
     def search_host(self, d):
-        """A string whose length-n windows for n <= n_d are exactly the
-        factors L_w(n).
-
-        At a chained level it is w_1 0^{n_d} w_2 0^{n_d} ... w_s 0^{n_d} w_1
-        over the words of X_d: in-word windows, boundary windows
-        (suffix)0^i / 0^i(prefix), and 0^n all occur, and nothing else can
-        appear.
-
-        At a squaring level, X_d = X_{d-1} Z X_{d-1} with Z = 0^{n_{d-1}}
-        takes all pairs, so the host is built from the s = s_{d-1} words
-        a_0 < ... < a_{s-1} of X_{d-1} instead of the s^2 words of X_d:
-            a_{e_0} Z a_{e_1} Z ... Z a_{e_{M-1}} Z a_{e_0} Z a_{e_1},
-        with e the de Bruijn cycle B(s, 2) of M = s^2 terms, then
-        0^P a 0^P for each a in X_{d-1}, where P = n_d - 1.  The cycle holds
-        every ordered pair (a, b) as a Z b; closed by its first two words,
-        it holds each one with at least n_{d-1} zeros on both sides (the
-        padded words follow the last one).  Every window of length
-        n <= n_d = 3 n_{d-1} of the zero-joined host above is in it:
-          - a window inside an X_d word a Z b is in the cycle;
-          - a window across a 0^{n_d} junction cannot reach the other side,
-            so it is 0^n, or (suffix of a Z b) 0^j, or its mirror.  If it
-            holds a letter of a, then j < n_{d-1}, and the cycle shows it.
-            Otherwise it is 0^i (part of b) 0^j with i, j <= P, a window of
-            0^P b 0^P.  0^n lies in the runs of 2P >= n_d zeros between the
-            padded words.
-        Conversely every window is a factor of w.  One that holds letters
-        of two cycle words a, c around a Z b Z c, or zeros on both sides of
-        a whole a Z b, is longer than n_d, so it lies in a Z b 0^{n_d} or
-        0^{n_d} a Z b, and X_d words are set apart by at least 0^{n_d} in w.
-        One of 0^P a 0^P that holds all of a has at most n_{d-1} zeros on a
-        side, so it lies in 0^{n_d} a Z b or b Z a 0^{n_d}.
-        At d = 6 the host is 10,761,715 chars, where the zero-joined X_6
-        words take 31,850,739.
+        """w_1 0^{n_d} w_2 0^{n_d} ... w_s 0^{n_d} w_1 over the words of X_d,
+        whose length-n windows for n <= n_d are exactly the factors L_w(n):
+        in-word windows, boundary windows (suffix)0^i / 0^i(prefix), and 0^n
+        all occur, and nothing else can appear, since X_d words are set apart
+        by at least 0^{n_d} in w.  It is the definition of the language at
+        every level; `contains` searches it at a chained or base level only.
+        At d = 6 it is 31,850,739 chars.
         """
         lv = self.level(d)
         if not lv.explicit:
             raise ValueError("budget: level %d is implicit; factor queries need "
                              "an explicit level" % d)
         if d not in self._hosts:
-            if lv.phase == "squaring":
-                words = self.level(d - 1).words
-                e = de_bruijn_pairs(len(words))
-                pad = "0" * (lv.n - 1)
-                self._hosts[d] = (("0" * self.level(d - 1).n).join(
-                    words[i] for i in e + e[:2])
-                    + "".join(pad + a + pad for a in words))
-            else:
-                zeros = "0" * lv.n
-                self._hosts[d] = zeros.join(lv.words) + zeros + lv.words[0]
+            zeros = "0" * lv.n
+            self._hosts[d] = zeros.join(lv.words) + zeros + lv.words[0]
         return self._hosts[d]
 
     def _host_level_for(self, n):
@@ -200,9 +156,13 @@ class XkOracle:
         """The X_{d-1} words of a squaring level d, each padded on both sides
         by 0^{n_d - 1}.  Two words are 2 n_d - 2 >= n_d zeros apart, so its
         windows of length n <= n_d are those of 0^inf a 0^inf, a in X_{d-1}.
-        At d = 6 it is 144,640 chars."""
-        pad = "0" * (self.level(d).n - 1)
-        return "".join(pad + a + pad for a in self.level(d - 1).words)
+        At d = 6 it is 144,640 chars; it is built once a level."""
+        host = self._padded.get(d)
+        if host is None:
+            pad = "0" * (self.level(d).n - 1)
+            host = self._padded[d] = "".join(pad + a + pad
+                                             for a in self.level(d - 1).words)
+        return host
 
     def level_census(self, d):
         """The one window census of level d, at cap n_d: of the padded host
@@ -252,10 +212,29 @@ class XkOracle:
         return p
 
     def contains(self, u):
+        """Is u a factor of w?  Read at the least level d that covers |u|.
+
+        At a squaring level, with m = n_{d-1}, each X_d word a 0^m b holds
+        one run of m zeros, its other zero runs are shorter, and X_d words
+        are 0^{n_d} or more apart in w.  So a factor of length n <= n_d
+        either holds no run of m or more zeros between two nonzero
+        letters, and is a window of the padded host, or holds exactly one,
+        of exactly m zeros: u = x 0^m y, a factor iff x 0^m and 0^m y are
+        windows of the padded host, since X_d takes all pairs.  A longer
+        run fails at the letter after its first m zeros, a second run in
+        0^m y.
+        """
         if u == "":
             return True
         d = self._host_level_for(len(u))
-        return u in self.search_host(d)
+        if self.level(d).phase != "squaring":
+            return u in self.search_host(d)
+        host, m = self.padded_host(d), self.level(d - 1).n
+        i = u.find("0" * m, len(u) - len(u.lstrip("0")), len(u.rstrip("0")))
+        if i < 0:
+            return u in host
+        j = i + m
+        return u[j] != "0" and u[:j] in host and u[i:] in host
 
 
 def xk_complexity_table(oracle, n_lo, n_hi):

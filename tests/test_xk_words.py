@@ -12,7 +12,6 @@ from wordlab.xk_words import (
     XkParams,
     build_xk_levels,
     checkpoints,
-    de_bruijn_pairs,
     spike_parameters,
     verify_xk_structure,
     xk_complexity_table,
@@ -26,12 +25,37 @@ def xk_factor_set(oracle, n):
     return frozenset(host[i:i + n] for i in range(len(host) - n + 1))
 
 
-def zero_joined_host(oracle, d):
-    """Oracle: w_1 0^{n_d} w_2 0^{n_d} ... w_s 0^{n_d} w_1 over the X_d words,
-    whose length-n windows for n <= n_d are exactly L_w(n)."""
-    lv = oracle.level(d)
-    zeros = "0" * lv.n
-    return zeros.join(lv.words) + zeros + lv.words[0]
+def de_bruijn_pairs(k):
+    """The de Bruijn cycle B(k, 2): k^2 symbols of range(k) in which, read
+    cyclically, every ordered pair occurs exactly once.  It is the
+    Fredricksen-Kessler-Maiorana concatenation of the Lyndon words of length
+    1 and 2 in lexicographic order: i, then i j for each j > i (Ruskey,
+    Combinatorial Generation)."""
+    seq = []
+    for i in range(k):
+        seq.append(i)
+        for j in range(i + 1, k):
+            seq += [i, j]
+    return seq
+
+
+def de_bruijn_host(oracle, d):
+    """Oracle: a shorter string with the length-n windows, n <= n_d, of the
+    zero-joined search host at a squaring level d.  The s = s_{d-1} words
+    a_0 < ... < a_{s-1} of X_{d-1} are joined by Z = 0^{n_{d-1}} in the
+    order of the de Bruijn cycle e = B(s, 2), closed by its first two words,
+        a_{e_0} Z a_{e_1} Z ... Z a_{e_{s^2-1}} Z a_{e_0} Z a_{e_1},
+    so every X_d word a Z b occurs with n_{d-1} zeros or more on both sides,
+    then come the X_{d-1} words padded as in `padded_host(d)`, which hold
+    the windows with zeros on both sides of a whole X_{d-1} word.  A window
+    of length n_d = 3 n_{d-1} or less cannot reach from one cycle word over
+    the next whole one to a third.  At d = 6 it is 10,761,715 chars, where
+    the zero-joined X_6 words take 31,850,739; its census at cap 243 takes
+    half the time and 40 % of the memory of theirs."""
+    words = oracle.level(d - 1).words
+    e = de_bruijn_pairs(len(words))
+    return (("0" * oracle.level(d - 1).n).join(words[i] for i in e + e[:2])
+            + oracle.padded_host(d))
 
 
 def _decodes_as_xi(e, wordset, n, t):
@@ -199,9 +223,11 @@ def test_de_bruijn_pairs(k):
 
 
 def test_squaring_hosts_match_zero_joined_hosts(oracle):
+    # the de Bruijn oracle host against the search host, which is the
+    # zero-joined X_d words at every level
     for d in (2, 3, 4):
         assert oracle.level(d).phase == "squaring"
-        old, new = zero_joined_host(oracle, d), oracle.search_host(d)
+        old, new = oracle.search_host(d), de_bruijn_host(oracle, d)
         assert len(new) < len(old)
         for n in range(1, oracle.level(d).n + 1):
             assert ({old[i:i + n] for i in range(len(old) - n + 1)}
@@ -214,18 +240,18 @@ def oracle6():
 
 
 def test_level6_contains_agrees_with_zero_joined_host(oracle6):
-    # contains sends every length in (81, 243] to the level-6 host
-    old = zero_joined_host(oracle6, 6)
-    assert len(oracle6.search_host(6)) == 10_761_715 and len(old) == 31_850_739
+    # contains sends every length in (81, 243] to level 6, where it reads
+    # the padded X_5 words; search_host(6) is the zero-joined X_6 words
+    host = oracle6.search_host(6)
+    assert len(host) == 31_850_739
     rng = random.Random(6)
     factors = []
     for _ in range(48):
         n = rng.randint(163, 243)
-        i = rng.randrange(len(old) - n + 1)
-        factors.append(old[i:i + n])
-    # X_6 words with one zero on a side, among them the pairs at the two
-    # ends of the de Bruijn cycle: its first (a_0, a_0) and its closing
-    # (a_255, a_0)
+        i = rng.randrange(len(host) - n + 1)
+        factors.append(host[i:i + n])
+    # X_6 words with one zero on a side, among them the first and last
+    # X_5 words on either side of 0^81
     x5, z81 = oracle6.level(5).words, "0" * 81
     for i, j in [(0, 0), (255, 0), (0, 255)] + [(rng.randrange(256), rng.randrange(256))
                                                 for _ in range(8)]:
@@ -237,8 +263,18 @@ def test_level6_contains_agrees_with_zero_joined_host(oracle6):
         for a in rng.sample(oracle6.level(k).words, 2):
             j = rng.randint(82, 243 - 82 - len(a))
             non_factors.append("0" * j + a + "0" * rng.randint(82, 243 - j - len(a)))
-    assert all(u in old for u in factors)
-    assert not any(u in old for u in non_factors)
+    # between letters of X_5 words: a run of 82 to 160 zeros, or two of 81
+    for _ in range(8):
+        a, b, c = (rng.choice(x5) for _ in range(3))
+        run = rng.randint(82, 160)
+        i = rng.randint(1, 242 - run)
+        non_factors.append(a[-i:] + "0" * run + b[:rng.randint(1, 243 - run - i)])
+        y = c[:rng.randint(1, 79)].rstrip("0")
+        i = rng.randint(1, 80 - len(y))
+        non_factors.append(a[-i:] + z81 + y + z81 + b[:rng.randint(1, 81 - len(y) - i)])
+    assert all(82 <= len(u) <= 243 for u in factors + non_factors[1:])
+    assert all(u in host for u in factors)
+    assert not any(u in host for u in non_factors)
     assert all(oracle6.contains(u) for u in factors)
     assert not any(oracle6.contains(u) for u in non_factors)
 
@@ -263,9 +299,10 @@ def test_one_census_per_host_level(oracle6):
 
 
 def test_level6_product_matches_search_host_census(oracle6):
-    # the one census of the 10,761,715-char level-6 search host: p(n) at
-    # n = 82..243, where the level-6 product answers, agrees with it
-    census = WindowCensus(oracle6.search_host(6), 243)
+    # the census of the 10,761,715-char de Bruijn host of level 6, whose
+    # windows are those of search_host(6): p(n) at n = 82..243, where the
+    # level-6 product answers, agrees with it
+    census = WindowCensus(de_bruijn_host(oracle6, 6), 243)
     assert [oracle6.complexity(n) for n in range(82, 244)] == \
         [census.count(n) for n in range(82, 244)]
     assert oracle6.level_complexity(6, 81) == census.count(81) == 29193
@@ -287,9 +324,63 @@ def test_product_matches_search_host_census_at_every_length(r, d):
     assert [oracle.complexity(n) for n in range(1, lv.n + 1)] == expected
 
 
+def _seeded_non_factors(oracle, d, rng):
+    """Non-factors of length in (n_{d-1}, n_d], the lengths that contains
+    reads at level d, built from X_{d-1} words a, b, c with m = n_{d-1}: a
+    run of m+1 to 2m zeros between nonzero letters, two runs of exactly m,
+    a run cut to m-1, and a foreign letter in a factor."""
+    words, m, n_d = oracle.level(d - 1).words, oracle.level(d - 1).n, oracle.level(d).n
+    out = []
+    for _ in range(6):
+        a, b, c = (rng.choice(words) for _ in range(3))
+        for run in range(m + 1, min(2 * m, n_d - 2) + 1):
+            i = rng.randint(1, n_d - run - 1)
+            out.append(a[-i:] + "0" * run + b[:rng.randint(1, n_d - run - i)])
+        if 2 * m + 3 <= n_d:
+            y = c[:rng.randint(1, n_d - 2 * m - 2)].rstrip("0")
+            i = rng.randint(1, n_d - 2 * m - len(y) - 1)
+            out.append(a[-i:] + "0" * m + y + "0" * m
+                       + b[:rng.randint(1, n_d - 2 * m - len(y) - i)])
+        i = rng.randint(1, n_d - m)
+        out.append(a[-i:] + "0" * (m - 1) + b[:rng.randint(1, n_d - m + 1 - i)])
+        u = a + "0" * m + b
+        j = rng.randrange(len(u) - n_d + 1)
+        u = u[j:j + rng.randint(m + 1, n_d)]
+        k = rng.randrange(len(u))
+        out.append(u[:k] + rng.choice("3|") + u[k + 1:])
+    assert all(m < len(u) <= n_d for u in out)
+    return out
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_contains_agrees_with_search_host(r, d):
+    # two routes to membership: contains, which reads the padded X_{d-1}
+    # words through the pair rule at a squaring level, and a substring
+    # search of the zero-joined X_d words
+    oracle = _SMALL_ORACLES[r]
+    assert oracle.level(d).phase == "squaring"
+    host, n_d = oracle.search_host(d), oracle.level(d).n
+    for n in range(1, n_d + 1):
+        windows = {host[i:i + n] for i in range(len(host) - n + 1)}
+        assert all(oracle.contains(u) for u in windows), n
+    rng = random.Random(100 * r + d)
+    non_factors = _seeded_non_factors(oracle, d, rng)
+    assert not any(u in host for u in non_factors)
+    assert not any(oracle.contains(u) for u in non_factors)
+    # windows with one or two letters redrawn: factors and non-factors
+    for _ in range(2000):
+        n = rng.randint(1, n_d)
+        u = list(host[(i := rng.randrange(len(host) - n + 1)):i + n])
+        for _ in range(rng.randint(1, 2)):
+            u[rng.randrange(n)] = rng.choice("0012")
+        u = "".join(u)
+        assert oracle.contains(u) == (u in host), u
+
+
 def test_xk_commands_census_no_host_above_padded_level6(monkeypatch):
     # verify-spike and the complexity table up to n_6 census the padded X_5
-    # words at most, never the 10.76 M-char level-6 search host
+    # words at most, never the 31.85 M-char level-6 search host
     sizes = []
     real = WindowCensus.__init__
 
@@ -303,6 +394,33 @@ def test_xk_commands_census_no_host_above_padded_level6(monkeypatch):
         sizes.clear()
         assert parse_and_dispatch(argv) == 0
         assert max(sizes) == 144_640, argv
+
+
+def test_level6_contains_builds_no_host_above_padded(oracle6, monkeypatch):
+    # membership at level 6 reads the 144,640-char padded X_5 words; no
+    # query builds or reads the 31.85 M-char search host
+    sizes = []
+
+    def spy(real):
+        def method(self, d):
+            host = real(self, d)
+            sizes.append(len(host))
+            return host
+        return method
+
+    for name in ("search_host", "padded_host"):
+        monkeypatch.setattr(XkOracle, name, spy(getattr(XkOracle, name)))
+    rng = random.Random(60)
+    x5, z81 = oracle6.level(5).words, "0" * 81
+    queries = []
+    for _ in range(16):
+        a, b = rng.choice(x5), rng.choice(x5)
+        i = rng.randrange(81)
+        queries.append((a + z81 + b)[i:i + rng.randint(82, 243 - i)])
+        queries.append((a + z81 + "0" + b)[i:i + rng.randint(164 - i, 243)])
+    found = [oracle6.contains(u) for u in queries]
+    assert found.count(True) >= 16 and False in found
+    assert sizes and set(sizes) == {144_640}
 
 
 def test_spike_family_a_read_from_padded_tail(oracle6):
