@@ -652,10 +652,7 @@ def ret_bracket_report(lang, n):
     cert = rec["certificate"]
     report = {"n": n, "rec": R, "scale_8n": 8 * n, "lower_Ret": lower}
     if cert is not None and s >= n:
-        host = (levels.AB(cert["host_level"]) if cert["host"] == "AB"
-                else levels.BA(cert["host_level"]))
-        v = host[cert["failing_window"]:cert["failing_window"] + R - 1]
-        u = cert["missing_pattern"]
+        v, u = cert["failing_letters"], cert["missing_pattern"]
         if u in v or len(u) != n:
             raise AssertionError("witness u occurs in v or is not of length %d" % n)
         v = v[:2 * s + n]

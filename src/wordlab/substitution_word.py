@@ -148,8 +148,8 @@ class SubstLevels:
     beta[k] read from the recursion: a level below K is built from the level
     under it on first read and kept; level K, at least 80 % of the master
     bytes since N_K >= 6 N_{K-1}, is built on every read, one word at a
-    time, and never kept.  Junction windows, membership queries and the
-    complexity census read level k - 1 only."""
+    time, and never kept.  Junction windows, and so membership queries, the
+    complexity census and Rec, read level k - 1 only."""
     params: SubstParams
     n: list                      # n[j] for j = 1..K (index 0 unused)
     N: list                      # N[k] for k = 0..K, N[0] = 1
@@ -234,10 +234,8 @@ class SubstLevels:
         need = self.Nt[k] if need is None else min(need, self.Nt[k])
         cached = self._census.get(k)
         if cached is None or cached.cap < need:
-            cap = self.Nt[k]
-            if 2 * self.N[k] > 100_000:
-                # large level: keep the sort depth close to what is asked for
-                cap = min(cap, max(4096, 1 << (need - 1).bit_length()))
+            # the sort depth stays close to what is asked for
+            cap = min(self.Nt[k], max(4096, 1 << (need - 1).bit_length()))
             host = "|".join(self.junction(k, cap))
             cached = WindowCensus(host, cap, separators="|",
                                   max_bytes=self.params.max_bytes)
@@ -336,13 +334,14 @@ def recurrence_function(levels, n):
     """Exact Rec_w(n) with a failing-window certificate at Rec-1.
 
     Rec_w(n) is the least K such that every length-K factor of w contains
-    every length-n factor.  Upper bound 7 N_k with k minimal such that
-    n <= Ntilde_k; candidate lengths live inside the level-m master words
-    where 7 N_k <= Ntilde_m.  Each master's census blocks give the sorted
-    occurrences of every length-n window, hence its first and last
-    occurrence and largest gap.  A master is a factor of w, so when it has
-    p(n) distinct length-n windows it holds every length-n factor.  Failed
-    checks raise AssertionError.
+    every length-n factor; K <= 7 N_k with k minimal such that n <= Ntilde_k.
+    The factors of length <= 7 N_k <= Ntilde_m are the windows of the level-m
+    junction windows at cap 7 N_k, so a census of each gives the sorted
+    occurrences of every length-n factor, hence the longest window missing
+    it (first and last occurrence, largest gap).  The longest factor missing
+    one is shorter than Rec, so it lies in a junction window.  The
+    certificate's failing window is an offset into AB_m or BA_m, with its
+    letters.  Failed checks raise AssertionError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -355,39 +354,32 @@ def recurrence_function(levels, n):
                          "Ntilde_m >= %d" % (n, upper))
     p = levels.complexity(n)
     rec = 0
-    for name, host in (("AB", levels.AB(m)), ("BA", levels.BA(m))):
+    for name, host in zip(("AB", "BA"), levels.junction(m, upper)):
         blocks = WindowCensus(host, n, max_bytes=levels.params.max_bytes).blocks(n)
         if len(blocks) != p:
             raise AssertionError("%s_%d has %d distinct length-%d windows, not "
                                  "p(%d) = %d" % (name, m, len(blocks), n, n, p))
-        worst = max(_pattern_window_stats(b, n, len(host), len(host))[2]
-                    for b in blocks)
-        if worst > rec:
-            rec, rec_name, rec_host, rec_blocks = worst, name, host, blocks
+        least = [_pattern_window_stats(b, n, len(host), len(host))[2] for b in blocks]
+        if max(least) > rec:
+            rec = max(least)
+            rec_name, rec_host, rec_blocks, rec_least = name, host, blocks, least
     if rec > upper:
         raise AssertionError("Rec_w(%d)=%d exceeds the 7 N_k bound %d" % (n, rec, upper))
 
     certificate = None
     if rec - 1 >= n:
-        # the first failing window, then the smallest pattern missing from
-        # it: blocks come in lexicographic order, so the smallest index
-        failures = []
-        for i, b in enumerate(rec_blocks):
-            ok, fail, _ = _pattern_window_stats(b, n, len(rec_host), rec - 1)
-            if not ok:
-                failures.append((fail, i))
-        if not failures:
-            raise AssertionError("every length-%d window of %s_%d contains every "
-                                 "length-%d factor" % (rec - 1, rec_name, m, n))
-        fail, i = min(failures)
+        # only the patterns whose least window is rec fail at rec - 1: the
+        # first failing window, then the smallest pattern missing from it
+        # (blocks come in lexicographic order, so the smallest index)
+        fail, i = min((_pattern_window_stats(b, n, len(rec_host), rec - 1)[1], i)
+                      for i, (b, least) in enumerate(zip(rec_blocks, rec_least))
+                      if least == rec)
         start = rec_blocks[i][0]
-        certificate = {
-            "host": rec_name,
-            "host_level": m,
-            "window_length": rec - 1,
-            "failing_window": fail,
-            "missing_pattern": rec_host[start:start + n],
-        }
+        # the junction window, 2r long, starts N_m - r into its master
+        certificate = {"host": rec_name, "host_level": m, "window_length": rec - 1,
+                       "failing_window": levels.N[m] - len(rec_host) // 2 + fail,
+                       "failing_letters": rec_host[fail:fail + rec - 1],
+                       "missing_pattern": rec_host[start:start + n]}
     return {"n": n, "rec": rec, "level": k, "host_level": m,
             "upper_bound_7Nk": upper, "certificate": certificate}
 
@@ -420,11 +412,12 @@ def verify_substitution_lemmas(levels, k_max, rec_samples=(), p_max=None):
 
     every7 = {}
     for k in range(0, k_max + 1):
+        # the length-7N_k factors are the windows of the junction windows
         need = 7 * levels.N[k]
-        m = levels.min_level_for(need)
         pats = [levels.AB(k), levels.BA(k)]
         ok = all(_pattern_window_stats(occurrence_positions(p, h), len(p), len(h), need)[0]
-                 for h in (levels.AB(m), levels.BA(m)) for p in pats)
+                 for h in levels.junction(levels.min_level_for(need), need)
+                 for p in pats)
         every7[k] = ok
         if not ok:
             raise AssertionError("a length-%d factor misses alpha_%d beta_%d "

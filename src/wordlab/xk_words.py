@@ -19,7 +19,7 @@
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .words_core import WindowCensus, _words_bytes, max_bytes_budget
+from .words_core import WindowCensus, _words_bytes, check_budget, max_bytes_budget
 
 # certified rational lower bound for alpha = log 4 / log 3: 3^29 < 4^23
 _ALPHA_LO = (29, 23)
@@ -71,16 +71,19 @@ def _phase(m, r):
 
 
 def build_xk_levels(params):
-    """Levels 1..max_level; word lists explicit while they fit the budget."""
+    """Levels 1..max_level; word lists explicit while all the lists so far
+    fit the budget together."""
     budget = max_bytes_budget(params.max_bytes)
     levels = [None, XkLevel(k=1, n=1, s=2, phase="base", words=["1", "2"])]
+    listed = _words_bytes(2, 1)
     for m in range(2, params.max_level + 1):
         parent = levels[m - 1]
         n_m = 3 * parent.n
         phase = _phase(m, params.r)
         s_m = parent.s ** 2 if phase == "squaring" else parent.s
         words = None
-        if parent.explicit and _words_bytes(s_m, n_m) <= budget:
+        if parent.explicit and listed + _words_bytes(s_m, n_m) <= budget:
+            listed += _words_bytes(s_m, n_m)
             zeros = "0" * parent.n
             if phase == "squaring":
                 words = sorted(a + zeros + b for a in parent.words for b in parent.words)
@@ -141,6 +144,8 @@ class XkOracle:
             raise ValueError("budget: level %d is implicit; factor queries need "
                              "an explicit level" % d)
         if d not in self._hosts:
+            check_budget((2 * lv.s + 1) * lv.n, self.params.max_bytes,
+                         "the level %d search host needs" % d)
             zeros = "0" * lv.n
             self._hosts[d] = zeros.join(lv.words) + zeros + lv.words[0]
         return self._hosts[d]
@@ -159,9 +164,11 @@ class XkOracle:
         At d = 6 it is 144,640 chars; it is built once a level."""
         host = self._padded.get(d)
         if host is None:
-            pad = "0" * (self.level(d).n - 1)
-            host = self._padded[d] = "".join(pad + a + pad
-                                             for a in self.level(d - 1).words)
+            inner, n_d = self.level(d - 1), self.level(d).n
+            check_budget(inner.s * (inner.n + 2 * n_d - 2), self.params.max_bytes,
+                         "the level %d padded host needs" % d)
+            pad = "0" * (n_d - 1)
+            host = self._padded[d] = "".join(pad + a + pad for a in inner.words)
         return host
 
     def level_census(self, d):

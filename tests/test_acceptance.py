@@ -119,10 +119,12 @@ def test_criterion_05_recurrence(subst):
     assert r18["rec"] == 197 and 36 <= r18["rec"] <= 252
     r108 = recurrence_function(subst, 108)
     assert r108["rec"] == 6587 and 1296 <= r108["rec"] <= 9072
-    # the first failing window at Rec - 1 and the pattern it misses
+    # the first failing window at Rec - 1, its letters and the pattern it
+    # misses
     assert r108["certificate"] == {
         "host": "AB", "host_level": 4, "window_length": 6586,
         "failing_window": 1675622,
+        "failing_letters": subst.AB(4)[1675622:1675622 + 6586],
         "missing_pattern": "babbabbabbaaabaabbbabbabbabbaaabaabbbabbabbabbaaabaabbb"
                            "abbabbabbaaabaabaabaabaabaabbbabbaaabaabaabaabbbabbaa",
     }

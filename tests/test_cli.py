@@ -191,19 +191,55 @@ def test_subst_refuses_what_it_cannot_check(capsys, argv, message):
 
 
 def test_census_budget_exits_2(capsys):
-    # Rec(108) takes a cap-108 census of each 3,359,232-char level-4 master,
-    # estimated at 16 bytes a char: about 53.9 MB > 48 MiB.  The CLI takes no
-    # budget under 64 MiB, so the library is called at 48 MiB
-    import wordlab.substitution_word as sw
-    levels = sw.build_substitution_levels(sw.SubstParams(gamma=2, max_bytes=48 * 2**20))
-    with pytest.raises(ValueError, match="budget: census of 3359232 chars at cap 108"):
-        sw.recurrence_function(levels, 108)
-    # at gamma = 3, Rec(18) takes a cap-18 census of the 20,155,392-char
-    # AB_3: about 322.6 MB > 64 MiB
-    code, out, err = run(capsys, "subst", "--gamma", "3", "recurrence",
-                         "--n", "18", "--max-bytes", "67108864")
+    # the r = 3 complexity table past n = 81 takes a cap-243 census of the
+    # 31,850,739-char level-6 search host, estimated at about 510 MB
+    code, out, err = run(capsys, "xk", "--r", "3", "--max-level", "6",
+                         "complexity", "--n", "82..243", "--max-bytes", "67108864")
     assert code == 2 and out == ""
-    assert "budget: census of 20155392 chars at cap 18" in err
+    assert "budget: census of 31850739 chars at cap 243" in err
+    # Rec(648) over six levels of n_j = 2 takes a cap-648 census of each
+    # 64,798-char level-6 junction window, estimated at 1.17 MB, while the
+    # level-6 masters alone (93,312 bytes) fit the 1 MiB budget.  The CLI
+    # takes no budget under 64 MiB, so the library is called
+    import wordlab.substitution_word as sw
+    levels = sw.build_substitution_levels(sw.SubstParams(n_list=[2] * 6,
+                                                         max_bytes=2**20))
+    with pytest.raises(ValueError, match="budget: census of 64798 chars at cap 648"):
+        sw.recurrence_function(levels, 648)
+
+
+@pytest.mark.parametrize("argv", [
+    ("subst", "--gamma", "2", "recurrence", "--n", "1,18,108"),
+    ("algebra", "--gamma", "3", "ret-bracket", "--n", "18"),
+], ids=["recurrence-gamma2", "ret-bracket-gamma3"])
+def test_recurrence_builds_no_master_at_host_level(capsys, monkeypatch, argv):
+    # Rec(n) reads the junction windows of the level-m masters, which are
+    # built from level m - 1: no master at level m or above is built, not
+    # even level 4 at gamma = 2 (3,359,232 letters) or level 3 at gamma = 3
+    # (20,155,392)
+    import wordlab.steinberg_algebra as sa
+    import wordlab.substitution_word as sw
+    built, host_level = [], [None]
+    real_build, real_rec = sw.SubstLevels._build, sw.recurrence_function
+
+    def build(self, k, side):
+        built.append((k, host_level[0]))
+        return real_build(self, k, side)
+
+    def recurrence(levels, n):
+        host_level[0] = levels.min_level_for(7 * levels.N[levels.min_level_for(n)])
+        try:
+            return real_rec(levels, n)
+        finally:
+            host_level[0] = None
+
+    monkeypatch.setattr(sw.SubstLevels, "_build", build)
+    monkeypatch.setattr(sw, "recurrence_function", recurrence)
+    monkeypatch.setattr(sa, "recurrence_function", recurrence)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert built and all(m is not None for _, m in built)
+    assert all(k < m for k, m in built), sorted(set(built))
 
 
 def test_growth_build_and_check(capsys):
@@ -543,6 +579,11 @@ PINNED_STDOUT = [
     (("xk", "--r", "2", "--max-level", "6", "complexity", "--n", "1..243",
       "--format", "csv"),
      "a7d1283f55e70bb89d8f5b621ee719a8a3d291eac5bd584b547ec17f3c684d93"),
+    # taken while Rec was a census of the 20,155,392-char masters AB_3, BA_3
+    (("subst", "--gamma", "3", "recurrence", "--n", "18,100"),
+     "e19ac1993a49ccfeec337db0c104de46bd8c81e0ad62b619b94ec0a8221de6c0"),
+    (("algebra", "--gamma", "3", "ret-bracket", "--n", "18"),
+     "38aac58cae9c26aa55c8738839fba984bcb52d5197f8a354064937ee47032458"),
 ]
 
 
@@ -553,7 +594,8 @@ PINNED_STDOUT = [
                               "recurrence-1-18", "ret-bracket-18",
                               "ergodic-build", "ergodic-build-seeded-random-7",
                               "ergodic-decompose-level-8", "xk-verify-spike",
-                              "xk-complexity-243"])
+                              "xk-complexity-243", "recurrence-gamma3-18-100",
+                              "ret-bracket-gamma3-18"])
 def test_pinned_stdout_bytes(capsys, argv, digest):
     import hashlib
     code, out, _ = run(capsys, *argv)

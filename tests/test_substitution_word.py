@@ -312,22 +312,54 @@ def test_block_and_find_stats_agree(lv):
             assert min(fails) == (fail, p)
 
 
+def master_census_rec(levels, n):
+    """Oracle: Rec_w(n) from a census of both full level-m masters, the least
+    window length that holds every length-n factor, over every pattern."""
+    m = levels.min_level_for(7 * levels.N[levels.min_level_for(n)])
+    rec = 0
+    for host in (levels.AB(m), levels.BA(m)):
+        blocks = WindowCensus(host, n).blocks(n)
+        assert len(blocks) == levels.complexity(n), (m, n)
+        rec = max([rec] + [_pattern_window_stats(b, n, len(host), len(host))[2]
+                           for b in blocks])
+    return rec
+
+
+def slice_certificate(lv, n, rec, pats, scan):
+    """Oracle: the certificate at Rec - 1, rescanned by scan over the slices
+    [N_m - j, N_m + j) of the level-m masters that the junction windows at
+    cap 7 N_k cover, and offset back into the master: the first slice that
+    fails, its first failing window and the smallest pattern missing there."""
+    k = lv.min_level_for(n)
+    m = lv.min_level_for(7 * lv.N[k])
+    N = lv.N[m]
+    j = min(3 * lv.N[m - 1] + 7 * lv.N[k] - 1, N)
+    for name, host in (("AB", lv.AB(m)), ("BA", lv.BA(m))):
+        ok, fail, p = scan(host[N - j:N + j], rec - 1, pats)
+        if not ok:
+            at = N - j + fail
+            return {"host": name, "host_level": m, "window_length": rec - 1,
+                    "failing_window": at, "failing_letters": host[at:at + rec - 1],
+                    "missing_pattern": p}
+    raise AssertionError("no slice fails at Rec - 1")
+
+
 def test_recurrence_matches_binary_search_over_rescans(lv):
     # oracle: the least K at which every length-K window of both level-m
     # masters holds every length-n factor, by a binary search over a direct
     # rescan of every window; the certificate is the first failing window at
-    # Rec - 1 of the first master that fails there, and its smallest missing
-    # factor
+    # Rec - 1 in the junction slices of the first master that fails there,
+    # and its smallest missing factor
     for n in range(1, 19):
         r = recurrence_function(lv, n)
         m = r["host_level"]
         k = lv.min_level_for(n)
         pats = sorted(factor_set([lv.AB(k), lv.BA(k)], n))
-        hosts = [("AB", lv.AB(m)), ("BA", lv.BA(m))]
+        hosts = [lv.AB(m), lv.BA(m)]
         lo, hi = n, r["upper_bound_7Nk"]
         while lo < hi:
             mid = (lo + hi) // 2
-            if all(naive_containment(h, mid, pats)[0] for _, h in hosts):
+            if all(naive_containment(h, mid, pats)[0] for h in hosts):
                 hi = mid
             else:
                 lo = mid + 1
@@ -335,13 +367,24 @@ def test_recurrence_matches_binary_search_over_rescans(lv):
         if lo - 1 < n:
             assert r["certificate"] is None
             continue
-        name, fail, p = next((name, fail, p) for name, h in hosts
-                             for ok, fail, p in [naive_containment(h, lo - 1, pats)]
-                             if not ok)
-        assert r["certificate"] == {"host": name, "host_level": m,
-                                    "window_length": lo - 1,
-                                    "failing_window": fail,
-                                    "missing_pattern": p}, n
+        assert r["certificate"] == slice_certificate(lv, n, lo, pats,
+                                                     naive_containment), n
+
+
+@pytest.mark.parametrize("gamma,ns", [(2, (19, 30, 108, 1000, 1188)), (3, (18,))],
+                         ids=["gamma2", "gamma3"])
+def test_recurrence_matches_full_master_census(gamma, ns):
+    # the junction windows against a census of both full masters: at gamma = 3
+    # each master AB_3, BA_3 has 20,155,392 letters
+    lv = build_substitution_levels(SubstParams(gamma=gamma))
+    for n in ns:
+        r = recurrence_function(lv, n)
+        assert r["rec"] == master_census_rec(lv, n), n
+        c = r["certificate"]
+        host = (lv.AB if c["host"] == "AB" else lv.BA)(c["host_level"])
+        at = c["failing_window"]
+        assert c["failing_letters"] == host[at:at + r["rec"] - 1], n
+        assert c["missing_pattern"] not in c["failing_letters"], n
 
 
 def sliding_containment(host, K, pats):
@@ -375,24 +418,19 @@ def test_recurrence_matches_rescans_on_drawn_n_lists(n_list, data):
     r = recurrence_function(lv, n)
     k, m = lv.min_level_for(n), r["host_level"]
     pats = sorted(factor_set([lv.AB(k), lv.BA(k)], n))
-    hosts = [("AB", lv.AB(m)), ("BA", lv.BA(m))]
-    assert all(factor_set([h], n) == set(pats) for _, h in hosts)
+    hosts = [lv.AB(m), lv.BA(m)]
+    assert all(factor_set([h], n) == set(pats) for h in hosts)
     lo, hi = n, r["upper_bound_7Nk"]
     while lo < hi:
         mid = (lo + hi) // 2
-        if all(sliding_containment(h, mid, pats)[0] for _, h in hosts):
+        if all(sliding_containment(h, mid, pats)[0] for h in hosts):
             hi = mid
         else:
             lo = mid + 1
     assert r["rec"] == lo, (n_list, n)
     if lo - 1 >= n:
-        name, fail, p = next((name, fail, p) for name, h in hosts
-                             for ok, fail, p in [sliding_containment(h, lo - 1, pats)]
-                             if not ok)
-        assert r["certificate"] == {"host": name, "host_level": m,
-                                    "window_length": lo - 1,
-                                    "failing_window": fail,
-                                    "missing_pattern": p}, (n_list, n)
+        assert r["certificate"] == slice_certificate(
+            lv, n, lo, pats, sliding_containment), (n_list, n)
 
 
 # a complexity one too high makes the masters look incomplete: the count

@@ -423,6 +423,38 @@ def test_level6_contains_builds_no_host_above_padded(oracle6, monkeypatch):
     assert sizes and set(sizes) == {144_640}
 
 
+def test_word_lists_charge_their_running_total(capsys):
+    # at r = 3 and 64 MiB the X_7 list (51,511,296 bytes) fits alone but not
+    # beside the lists below it (28,727,684 bytes): level 7 is implicit, and
+    # the table past n = 243 exits 2 before it joins the 95,552,217-char
+    # level-7 search host
+    levels = build_xk_levels(XkParams(r=3, max_level=7, max_bytes=2**26))
+    assert [lv.explicit for lv in levels[1:]] == [True] * 6 + [False]
+    code = parse_and_dispatch(["xk", "--r", "3", "--max-level", "7", "complexity",
+                               "--n", "244..250", "--max-bytes", str(2**26)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "need level 7 explicit (deepest explicit is 6)" in err
+
+
+def test_hosts_checked_against_budget_before_join():
+    # the lists up to X_6 at r = 3 fit 30 MB, but the level-6 search host has
+    # 31,850,739 letters; at r = 2 and 100 kB the lists up to X_5 fit (58,244
+    # bytes), but the level-6 padded host has 144,640 letters
+    oracle = XkOracle(XkParams(r=3, max_level=6, max_bytes=30_000_000))
+    assert oracle.E == 6
+    with pytest.raises(ValueError, match="budget: the level 6 search host needs "
+                                         "31850739 bytes > 30000000"):
+        oracle.complexity(200)
+    assert not oracle._hosts
+    oracle = XkOracle(XkParams(r=2, max_level=6, max_bytes=100_000))
+    assert oracle.E == 5
+    with pytest.raises(ValueError, match="budget: the level 6 padded host needs "
+                                         "144640 bytes > 100000"):
+        oracle.padded_host(6)
+    assert not oracle._padded
+
+
 def test_spike_family_a_read_from_padded_tail(oracle6):
     # at l = 1 the last margined occurrence of every length-81 factor, and
     # its whole extension, lie in one padded X_5 word 0^242 a 0^242 of the
