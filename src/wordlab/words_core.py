@@ -258,8 +258,15 @@ class WindowCensus:
 
     @staticmethod
     def _build_numpy(host, cap, separators, max_bytes):
+        L = len(host)
+        # the per-char peak, the separators' positions, the padding past the
+        # end (cap int32 ranks and uint32 codes) and the slack for the least
+        # chunk; a fallback round charges its 4 bytes a char when it runs
+        extra = 4 * sum(host.count(c) for c in set(separators)) \
+            + 8 * (cap + 1) + _CENSUS_SLACK
+        what = "census of %d chars at cap %d needs about" % (L, cap)
+        check_budget(_CENSUS_BYTES_PER_CHAR * L + extra, max_bytes, what)
         arr = np.frombuffer(host.encode("latin1"), dtype=np.uint8)
-        L = len(arr)
         lut = np.zeros(256, dtype=np.uint64)
         seen = np.zeros(256, dtype=bool)
         seen[arr] = True
@@ -270,13 +277,6 @@ class WindowCensus:
         pb = (L - 1).bit_length()           # bits of a position
         mask = (1 << pb) - 1
         free = 63 - pb                      # key bits above the position
-        # the per-char peak, the separators' positions, the padding past the
-        # end (cap int32 ranks and uint32 codes) and the slack for the least
-        # chunk; a fallback round charges its 4 bytes a char when it runs
-        extra = 4 * sum(host.count(c) for c in set(separators)) \
-            + 8 * (cap + 1) + _CENSUS_SLACK
-        what = "census of %d chars at cap %d needs about" % (L, cap)
-        check_budget(_CENSUS_BYTES_PER_CHAR * L + extra, max_bytes, what)
         if L + cap >= 2**31:
             raise ValueError("census of %d chars at cap %d: positions past "
                              "int32" % (L, cap))

@@ -146,8 +146,7 @@ class XkOracle:
         if d not in self._hosts:
             check_budget((2 * lv.s + 1) * lv.n, self.params.max_bytes,
                          "the level %d search host needs" % d)
-            zeros = "0" * lv.n
-            self._hosts[d] = zeros.join(lv.words) + zeros + lv.words[0]
+            self._hosts[d] = ("0" * lv.n).join(lv.words + lv.words[:1])
         return self._hosts[d]
 
     def _host_level_for(self, n):
@@ -269,6 +268,18 @@ def xk_complexity_table(oracle, n_lo, n_hi):
     return {"p": p, "p_prime": dp, "bound_alpha_2r_ok": bound_ok}
 
 
+def _heads_and_tails(level, parent):
+    """One pass, in place: maps from the first and last n = parent.n letters
+    of level's words (the parent's own word, or None) to whether 0^n is beside."""
+    n, ref = parent.n, {wd: wd for wd in parent.words}
+    zeros, heads, tails = "0" * n, {}, {}
+    for wd in level.words:
+        head, tail = ref.get(wd[:n]), ref.get(wd[-n:])
+        heads[head] = heads.get(head, False) or wd.startswith(zeros, n)
+        tails[tail] = tails.get(tail, False) or wd.endswith(zeros, 0, len(wd) - n)
+    return heads, tails, None not in heads and None not in tails
+
+
 def verify_xk_structure(oracle):
     """The structural facts, checked exhaustively on explicit levels:
     (1) every word starts and ends in {1,2};
@@ -276,30 +287,23 @@ def verify_xk_structure(oracle):
     (3) prefixes/suffixes of length n_d of deeper-level words are X_d words
         (checked at d = k - 1; every smaller d follows)."""
     report = {"boundary_letters": {}, "extension": {}, "pushdown": {}}
-    for k in range(1, oracle.E + 1):
-        lv = oracle.level(k)
+    listed = [oracle.level(k) for k in range(1, oracle.E + 1)]
+    for lv in listed:
         ok = all(wd[0] in "12" and wd[-1] in "12" for wd in lv.words)
-        report["boundary_letters"][k] = ok
+        report["boundary_letters"][lv.k] = ok
         if not ok:
-            raise AssertionError("level %d word with 0 at the boundary" % k)
-    for k in range(1, oracle.E):
-        lv, nxt = oracle.level(k), oracle.level(k + 1)
-        zeros = "0" * lv.n
-        prefixes = set(wd[:lv.n + lv.n] for wd in nxt.words)
-        suffixes = set(wd[-(lv.n + lv.n):] for wd in nxt.words)
-        ok = all((wd + zeros) in prefixes and (zeros + wd) in suffixes
-                 for wd in lv.words)
-        report["extension"][k] = ok
+            raise AssertionError("level %d word with 0 at the boundary" % lv.k)
+    for lv, nxt in zip(listed, listed[1:]):
+        heads, tails, report["pushdown"][nxt.k] = _heads_and_tails(nxt, lv)
+        ok = all(heads.get(wd) and tails.get(wd) for wd in lv.words)
+        report["extension"][lv.k] = ok
         if not ok:
-            raise AssertionError("extension fact fails at level %d" % k)
+            raise AssertionError("extension fact fails at level %d" % lv.k)
     # depth k - 1 only: a length-n_d prefix (suffix) of a level-k word is
     # one of its length-n_{k-1} prefix (suffix), an X_{k-1} word checked
     # one level down, so every smaller d follows by induction on k
-    for k in range(2, oracle.E + 1):
-        prev = oracle.level(k - 1)
-        dset = set(prev.words)
-        if not all(wd[:prev.n] in dset and wd[-prev.n:] in dset
-                   for wd in oracle.level(k).words):
+    for k, every in report["pushdown"].items():
+        if not every:
             raise AssertionError("pushdown fails: level %d prefixes at depth %d"
                                  % (k, k - 1))
         report["pushdown"][k] = dict.fromkeys(range(1, k), True)
@@ -360,8 +364,7 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
 
     # --- family B ------------------------------------------------------
     xk = oracle.level(ks[l - 1] + r)      # X_{k_l + r}
-    wordset = set(xk.words)
-    if not (xk.s == s == len(wordset) and xk.n == t):
+    if not (xk.s == s == len(set(xk.words)) and xk.n == t):
         raise AssertionError("X_%d does not have s=%d words of length t=%d"
                              % (xk.k, s, t))
     if not all(u[0] in "12" and u[-1] in "12" for u in xk.words):
@@ -371,12 +374,9 @@ def verify_derivative_spike(oracle, l=1, epsilon=Fraction(1, 2)):
     # 0^t u 0^n v 0^t, of which every xi_{u,v,i} is a window
     if oracle.level(d_host).phase != "squaring":
         raise AssertionError("family B: X_%d is not a squaring level" % d_host)
-    y = oracle.level(d_host - 1).words
-    zeros = "0" * t
-    ends = set(wd[-2 * t:] for wd in y)
-    starts = set(wd[:2 * t] for wd in y)
+    starts, ends, _ = _heads_and_tails(oracle.level(d_host - 1), xk)
     for u in xk.words:
-        if zeros + u not in ends or u + zeros not in starts:
+        if not (ends.get(u) and starts.get(u)):
             raise AssertionError("family B: no X_%d word ends in 0^t u, or "
                                  "none starts with u 0^t, for u = %r"
                                  % (d_host - 1, u))

@@ -579,6 +579,9 @@ PINNED_STDOUT = [
     (("xk", "--r", "2", "--max-level", "6", "complexity", "--n", "1..243",
       "--format", "csv"),
      "a7d1283f55e70bb89d8f5b621ee719a8a3d291eac5bd584b547ec17f3c684d93"),
+    # taken while the structure check held sets of 2 n_k-letter copies
+    (("xk", "--r", "3", "--max-level", "7", "verify-structure"),
+     "22d36565cedc191ec9899634e95227d9f7ee63ab79bfce30b61012214bc9bd49"),
     # taken while Rec was a census of the 20,155,392-char masters AB_3, BA_3
     (("subst", "--gamma", "3", "recurrence", "--n", "18,100"),
      "e19ac1993a49ccfeec337db0c104de46bd8c81e0ad62b619b94ec0a8221de6c0"),
@@ -594,7 +597,8 @@ PINNED_STDOUT = [
                               "recurrence-1-18", "ret-bracket-18",
                               "ergodic-build", "ergodic-build-seeded-random-7",
                               "ergodic-decompose-level-8", "xk-verify-spike",
-                              "xk-complexity-243", "recurrence-gamma3-18-100",
+                              "xk-complexity-243", "xk-verify-structure-r3-7",
+                              "recurrence-gamma3-18-100",
                               "ret-bracket-gamma3-18"])
 def test_pinned_stdout_bytes(capsys, argv, digest):
     import hashlib

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,8 +9,10 @@ from wordlab import words_core
 from wordlab.cli import parse_and_dispatch
 from wordlab.words_core import WindowCensus
 from wordlab.xk_words import (
+    XkLevel,
     XkOracle,
     XkParams,
+    _heads_and_tails,
     build_xk_levels,
     checkpoints,
     spike_parameters,
@@ -184,6 +187,30 @@ def test_structure_report(oracle):
     assert all(ok for by_d in rep["pushdown"].values() for ok in by_d.values())
 
 
+def test_heads_and_tails_check_each_side():
+    # the 0^n after a head and the 0^n before a tail are read apart; a head
+    # or tail that is no parent word is the key None
+    parent = XkLevel(k=1, n=1, s=2, phase="base", words=["1", "2"])
+    level = XkLevel(k=2, n=3, s=3, phase="squaring", words=["102", "211", "302"])
+    assert _heads_and_tails(level, parent) == (
+        {"1": True, "2": False, None: True}, {"2": True, "1": False}, False)
+    level.words.pop()
+    assert _heads_and_tails(level, parent)[2]
+
+
+def test_structure_check_holds_no_word_copies():
+    # r = 3 lists 65,536 words at each of levels 5-7 (81 to 729 letters);
+    # the check reads them in place and keeps references to X_k words only
+    oracle = XkOracle(XkParams(r=3, max_level=7))
+    tracemalloc.start()
+    try:
+        verify_xk_structure(oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 def test_spike_parameters(oracle):
     t, s, n, window = spike_parameters(oracle, 1)
     assert (t, s, n) == (27, 256, 81)
@@ -311,7 +338,14 @@ def test_level6_product_matches_search_host_census(oracle6):
 _SMALL_ORACLES = {r: XkOracle(XkParams(r=r, max_level=4)) for r in (2, 3)}
 
 
-@pytest.mark.parametrize("r", [2, 3])
+def test_small_levels_coincide_at_r2_and_r3():
+    # levels 1-4 are squaring levels at both r, so the r = 2 cases below
+    # cover r = 3 too
+    assert [(lv.phase, lv.words) for lv in _SMALL_ORACLES[2].levels[1:]] == \
+        [(lv.phase, lv.words) for lv in _SMALL_ORACLES[3].levels[1:]]
+
+
+@pytest.mark.parametrize("r", [2])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_product_matches_search_host_census_at_every_length(r, d):
     # oracle: the census of the level-d search host, at every n <= n_d
@@ -352,7 +386,7 @@ def _seeded_non_factors(oracle, d, rng):
     return out
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_contains_agrees_with_search_host(r, d):
     # two routes to membership: contains, which reads the padded X_{d-1}
@@ -544,6 +578,28 @@ def test_structure_pushdown_fails_under_python_O(run_python_O):
         "levels[4].words[5] = '1' * 9 + levels[4].words[5][9:]",
         ["xk", "--max-level", "4", "verify-structure"])
     assert msg == "pushdown fails: level 4 prefixes at depth 3"
+
+
+def test_structure_extension_fails_under_python_O(run_python_O):
+    # the X_4 words u 0^9 b, u the first X_3 word, become u 0^8 1 b: every X_4
+    # word still starts and ends in an X_3 word, and each b still ends one
+    # after 0^9, but u 0^9 starts none
+    msg = _corrupted_run(
+        run_python_O,
+        "u = levels[3].words[0]; levels[4].words = "
+        "[w[:17] + '1' + w[18:] if w.startswith(u) else w for w in levels[4].words]",
+        ["xk", "--max-level", "4", "verify-structure"])
+    assert msg == "extension fact fails at level 3"
+
+
+def test_spike_family_b_end_fails_under_python_O(run_python_O, oracle):
+    # a_7 0^27 a_9 in place of a_7 0^27 a_8: every X_4 word still starts an
+    # X_5 word before 0^27, but no X_5 word ends in 0^27 a_8
+    msg = _corrupted_run(run_python_O,
+                         "ws = levels[5].words; ws[7] = ws[7][:-27] + ws[8][-27:]",
+                         ["xk", "--max-level", "6", "verify-spike"])
+    assert msg == ("family B: no X_5 word ends in 0^t u, or none starts with "
+                   "u 0^t, for u = %r" % oracle.level(4).words[8])
 
 
 def test_spike_families_disjoint_fails_under_python_O(run_python_O):
