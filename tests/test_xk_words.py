@@ -339,13 +339,13 @@ _SMALL_ORACLES = {r: XkOracle(XkParams(r=r, max_level=4)) for r in (2, 3)}
 
 
 def test_small_levels_coincide_at_r2_and_r3():
-    # levels 1-4 are squaring levels at both r, so the r = 2 cases below
-    # cover r = 3 too
+    # levels 1-4 are squaring levels at both r: the r = 2 and r = 3 cases
+    # below read the same words
     assert [(lv.phase, lv.words) for lv in _SMALL_ORACLES[2].levels[1:]] == \
         [(lv.phase, lv.words) for lv in _SMALL_ORACLES[3].levels[1:]]
 
 
-@pytest.mark.parametrize("r", [2])
+@pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_product_matches_search_host_census_at_every_length(r, d):
     # oracle: the census of the level-d search host, at every n <= n_d
@@ -386,7 +386,7 @@ def _seeded_non_factors(oracle, d, rng):
     return out
 
 
-@pytest.mark.parametrize("r", [2])
+@pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_contains_agrees_with_search_host(r, d):
     # two routes to membership: contains, which reads the padded X_{d-1}
